@@ -49,11 +49,18 @@ FILE_HERMITIAN_TOL = 1e-9
 log = logging.getLogger("qcr.cli")
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: expected numbers: {exc}") from exc
+
+
 def _parse_complex_matrix(node, dim: int, name: str) -> np.ndarray:
     if not isinstance(node, dict) or "re" not in node or "im" not in node:
         raise ValidationError(f"{name}: expected an object with 're' and 'im' matrices")
-    re = np.asarray(node["re"], dtype=float)
-    im = np.asarray(node["im"], dtype=float)
+    re = _float_array(node["re"], f"{name}.re")
+    im = _float_array(node["im"], f"{name}.im")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(f"{name}: expected {dim}x{dim} 're' and 'im' blocks")
     h = re + 1j * im
@@ -72,7 +79,10 @@ def load_model_file(path: str) -> StatisticalModel:
         raise ValidationError(f"model file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc:
         raise ValidationError("model file: expected an object with 'dim', 'rho' and 'tangent'")
-    dim = int(doc["dim"])
+    try:
+        dim = int(doc["dim"])
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"model file: 'dim' must be an integer, got {doc['dim']!r}") from exc
     rho = _parse_complex_matrix(doc.get("rho"), dim, "rho")
     tangent_nodes = doc.get("tangent")
     if not isinstance(tangent_nodes, list) or not tangent_nodes:
@@ -93,7 +103,7 @@ def load_weight_file(path: str, n: int) -> np.ndarray:
         raise ValidationError(f"weight file {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "g" not in doc:
         raise ValidationError("weight file: expected an object with a 'g' matrix")
-    return require_weight_matrix(np.asarray(doc["g"], dtype=float), n)
+    return require_weight_matrix(_float_array(doc["g"], "weight file 'g'"), n)
 
 
 def _resolve_model(args) -> StatisticalModel:
@@ -106,7 +116,10 @@ def _resolve_model(args) -> StatisticalModel:
     if args.model == "qutrit-diagonal":
         if not args.probs:
             raise ValidationError("qutrit-diagonal needs --probs P1,P2,P3")
-        probs = [float(p) for p in args.probs.split(",")]
+        try:
+            probs = [float(p) for p in args.probs.split(",")]
+        except ValueError as exc:
+            raise ValidationError(f"--probs: expected comma-separated numbers, got {args.probs!r}") from exc
         return builtin_model(args.model, probs=probs)
     if args.alpha is None:
         raise ValidationError(f"{args.model} needs --alpha")

@@ -36,6 +36,9 @@ log = logging.getLogger("qcr.dual")
 
 MAX_CUTS_PER_ROUND = 10
 RESTORE_TOL = 1e-12
+# points per batch of residuals in a separation sweep: bounds the sweep's
+# memory (a boosted d = 8 sweep has ~263k points) without changing a value
+LAM_MIN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -278,17 +281,17 @@ class _Engine:
 
     # -- separation ---------------------------------------------------------
 
-    def lam_min(self, b: np.ndarray, s: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    def residuals(self, b: np.ndarray, s: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Residual matrices at a batch of tangent points, one per row of ys."""
         quad = np.einsum("qi,ij,qj->q", ys, self.G, ys)
         coef = ys @ b.T
-        mats = quad[:, None, None] * self.rho[None] - s[None] - np.tensordot(coef, self.ops, axes=(1, 0))
-        return _lam_min_batch(mats)
+        return quad[:, None, None] * self.rho[None] - s[None] - np.tensordot(coef, self.ops, axes=(1, 0))
 
-    @staticmethod
-    def _t_grid(r: float, boost: int) -> np.ndarray:
-        lin = np.linspace(-r, r, 17 * boost)
-        logs = np.geomspace(max(r * 1e-4, 1e-12), r, 6 * boost)
-        return np.unique(np.concatenate([lin, logs, -logs, [0.0]]))
+    def lam_min(self, b: np.ndarray, s: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        out = np.empty(len(ys))
+        for lo in range(0, len(ys), LAM_MIN_BLOCK):
+            out[lo:lo + LAM_MIN_BLOCK] = _lam_min_batch(self.residuals(b, s, ys[lo:lo + LAM_MIN_BLOCK]))
+        return out
 
     def _descend(self, b, s, pts: np.ndarray, iters: int = 40) -> tuple[np.ndarray, np.ndarray]:
         """Alternating descent on lambda_min of the residual.
@@ -300,9 +303,7 @@ class _Engine:
         """
         pts = pts.copy()
         best_pts = pts.copy()
-        quad = np.einsum("qi,ij,qj->q", pts, self.G, pts)
-        coef = pts @ b.T
-        mats = quad[:, None, None] * self.rho[None] - s[None] - np.tensordot(coef, self.ops, axes=(1, 0))
+        mats = self.residuals(b, s, pts)
         best = _lam_min_batch(mats)
         g_inv = self.g_isqrt @ self.g_isqrt
         for _ in range(iters):
@@ -311,9 +312,7 @@ class _Engine:
             rv = np.einsum("qi,ij,qj->q", v.conj(), self.rho, v).real
             wk = np.einsum("qi,kij,qj->qk", v.conj(), self.ops, v).real
             pts = ((wk @ b) @ g_inv) / (2.0 * rv[:, None])
-            quad = np.einsum("qi,ij,qj->q", pts, self.G, pts)
-            coef = pts @ b.T
-            mats = quad[:, None, None] * self.rho[None] - s[None] - np.tensordot(coef, self.ops, axes=(1, 0))
+            mats = self.residuals(b, s, pts)
             vals = _lam_min_batch(mats)
             better = vals < best
             best_pts[better] = pts[better]

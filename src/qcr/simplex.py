@@ -1,8 +1,12 @@
 """Dense two-phase simplex for small box-constrained linear programs.
 
 Built for the cutting-plane solver: a few hundred inequality rows over at
-most ~100 variables, re-solved from scratch every round. The tableau is
-dense and pivots are vectorized. Entering variables take the most negative
+most ~100 variables, re-solved from scratch every round. The tableau is a
+dense column-major (Fortran-order) array, so each column is contiguous.
+A pivot applies its rank-1 update only to the columns where the normalised
+pivot row is nonzero; any other entry would compute ``x - r * 0 = x``, so
+the tableau is bit-identical to a full dense update (up to the sign of a
+zero, which no comparison sees). Entering variables take the most negative
 reduced cost with smallest-index tie-breaking; the leaving row comes from
 a Harris two-pass ratio test, which keeps pivots large and bounds how far
 round-off can push any basic variable negative. After a long degenerate
@@ -34,9 +38,10 @@ class LpResult:
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
+    nz = np.flatnonzero(tab[row])
     rates = tab[:, col].copy()
     rates[row] = 0.0
-    tab -= rates[:, None] * tab[row][None, :]
+    tab[:, nz] -= rates[:, None] * tab[row, nz][None, :]
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
@@ -109,7 +114,7 @@ def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
     art_rows = np.flatnonzero(flip)
     n_art = art_rows.size
     ncols = n + m0 + n_art
-    tab = np.zeros((m + 1, ncols + 1))
+    tab = np.zeros((m + 1, ncols + 1), order="F")
     tab[:m, :n] = af
     tab[np.arange(m), n + np.arange(m)] = slack
     for j, r in enumerate(art_rows):
@@ -140,11 +145,8 @@ def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
                     _pivot(tab, basis, r, int(cols[0]))
                 else:
                     keep[r] = False
-        if not np.all(keep):
-            tab = np.vstack([tab[:m][keep], tab[-1:]])
-            basis = basis[keep]
-            m = int(keep.sum())
-        tab = np.delete(tab, np.s_[n + m0:ncols], axis=1)
+        tab = np.asfortranarray(tab[np.ix_(np.append(keep, True), np.r_[: n + m0, ncols])])
+        basis = basis[keep]
         ncols = n + m0
 
     cost = np.zeros(ncols + 1)

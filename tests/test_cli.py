@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import qcr
 from qcr.cli import main
 from qcr.serialize import dumps_report
 
@@ -203,7 +204,10 @@ def test_bad_probs_exit_2(capsys):
 
 
 def test_module_entry_point_and_log_env():
-    env = dict(os.environ, QCR_LOG="debug")
+    # the child imports qcr from wherever this process found it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qcr.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    env = dict(os.environ, QCR_LOG="debug", PYTHONPATH=path)
     proc = subprocess.run(
         [sys.executable, "-m", "qcr.cli", "dual", "--model", "qubit-full", "--alpha", "0.6",
          "--tol", "1e-3", "--seed", "0"],
@@ -214,3 +218,41 @@ def test_module_entry_point_and_log_env():
     # debug diagnostics land on stderr only
     assert "round 1" in proc.stderr
     assert "round 1" not in proc.stdout
+
+
+def _model_doc(**overrides):
+    doc = {
+        "dim": 2,
+        "rho": {"re": [[0.8, 0.0], [0.0, 0.2]], "im": [[0.0, 0.0], [0.0, 0.0]]},
+        "tangent": [{"re": [[0.0, 0.5], [0.5, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}],
+    }
+    doc.update(overrides)
+    return doc
+
+
+MALFORMED_NUMBERS = [
+    ("probs", ["bound", "--model", "qutrit-diagonal", "--probs", "0.5,abc,0.25"], None, None),
+    ("model-dim", ["info"], "model", _model_doc(dim="two")),
+    ("model-dim-null", ["info"], "model", _model_doc(dim=None)),
+    ("model-entry", ["info"], "model",
+     _model_doc(rho={"re": [[0.8, "x"], [0.0, 0.2]], "im": [[0.0, 0.0], [0.0, 0.0]]})),
+    ("g-entry", ["bound", "--model", "qubit-full", "--alpha", "0.6"], "g",
+     {"g": [[1.0, 0.0, 0.0], [0.0, "one", 0.0], [0.0, 0.0, 1.0]]}),
+    ("g-ragged", ["bound", "--model", "qubit-full", "--alpha", "0.6"], "g",
+     {"g": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]}),
+]
+
+
+@pytest.mark.parametrize("argv, file_kind, doc", [case[1:] for case in MALFORMED_NUMBERS],
+                         ids=[case[0] for case in MALFORMED_NUMBERS])
+def test_malformed_numbers_exit_2(capsys, tmp_path, argv, file_kind, doc):
+    argv = list(argv)
+    if file_kind is not None:
+        path = tmp_path / f"{file_kind}.json"
+        path.write_text(json.dumps(doc))
+        argv += ["--model-file" if file_kind == "model" else "--g-file", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert out == ""

@@ -1,10 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qcr.dual import (
+    LAM_MIN_BLOCK,
     Cut,
     DualPoint,
     SolverConfig,
+    _Engine,
+    _lam_min_batch,
     dual_submodel_inequality,
     random_model_certificate,
     residual,
@@ -121,6 +126,44 @@ def test_separation_active_at_solution(qubit_solution):
     r = residual(m, np.eye(3), sol.dual, res.witness.xi)
     quad = res.witness.v.conj() @ r @ res.witness.v
     assert abs(quad.real - res.min_value) <= 1e-9
+
+
+def commuting_model(d, n, seed):
+    rng = np.random.default_rng(seed)
+    rho = np.diag(0.8 * rng.dirichlet(np.ones(d)) + 0.2 / d).astype(complex)
+    tangents = [np.diag(x - x.mean()).astype(complex) for x in rng.normal(size=(n, d))]
+    return build_model(DensityOperator(rho), tangents)
+
+
+def test_blocked_lam_min_matches_one_shot_batch():
+    m = builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25))
+    engine = _Engine(m, np.eye(2), np.eye(2))
+    rng = np.random.default_rng(4)
+    b = rng.normal(size=(2, 2))
+    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    s = -(h @ h.conj().T)
+    # a ragged last block, and points spread over several scales
+    ys = rng.normal(size=(10_001, 2)) * np.geomspace(1e-3, 1e2, 10_001)[:, None]
+    assert ys.shape[0] > 2 * LAM_MIN_BLOCK
+    blocked = engine.lam_min(b, s, ys)
+    one_shot = _lam_min_batch(engine.residuals(b, s, ys))
+    assert np.array_equal(blocked, one_shot)
+
+
+def test_boosted_sweep_memory_is_bounded():
+    # d = 4, n = 3: a boost-3 sweep evaluates ~263k points, whose residuals
+    # alone take 64 MB when built in one array
+    m = commuting_model(4, 3, seed=0)
+    engine = _Engine(m, np.eye(3), np.eye(3))
+    b = np.zeros((3, 3))
+    s = np.zeros((4, 4), dtype=complex)
+    tracemalloc.start()
+    try:
+        engine.separate(b, s, np.random.default_rng(1), SolverConfig(), boost=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 # -- solve_dual -------------------------------------------------------------------

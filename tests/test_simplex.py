@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qcr.simplex
 from qcr.simplex import solve_boxed_lp
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
@@ -108,3 +109,63 @@ def test_near_duplicate_rows_stay_feasible():
         assert np.max(a @ ours.x - b) <= 1e-7
         ref = scipy_linprog(-c, A_ub=a, b_ub=b, bounds=list(zip(lo, hi)), method="highs")
         assert ours.value == pytest.approx(-ref.fun, abs=1e-6), f"trial {trial}"
+
+
+def _dense_pivot(tab, basis, row, col):
+    # reference: the rank-1 update over the whole tableau
+    tab[row] /= tab[row, col]
+    rates = tab[:, col].copy()
+    rates[row] = 0.0
+    tab -= rates[:, None] * tab[row][None, :]
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+def _pivot_test_lps():
+    rng = np.random.default_rng(2024)
+    lps = []
+    for trial in range(80):
+        nv = int(rng.integers(2, 9))
+        mc = int(rng.integers(1, 25))
+        a = rng.normal(size=(mc, nv))
+        a[rng.random(size=a.shape) < 0.4] = 0.0  # sparse rows leave pivot-row zeros
+        lb = -rng.uniform(0.5, 4.0, size=nv)
+        ub = rng.uniform(0.5, 4.0, size=nv)
+        x0 = rng.uniform(lb, ub)
+        # feasible at x0; rows that the box shift makes negative need phase one
+        b = a @ x0 + rng.uniform(0.0, 1.0, size=mc)
+        kind = trial % 4
+        if kind == 1:
+            # degenerate: feasible at the lower box corner, half the rows tight there
+            b = a @ lb + rng.uniform(0.0, 1.0, size=mc)
+            b[: mc // 2] = a[: mc // 2] @ lb
+        elif kind == 2:
+            # equality pairs through x0: artificials can stay basic at zero after phase one
+            b[:3] = a[:3] @ x0
+            a = np.vstack([a, -a[:3]])
+            b = np.concatenate([b, -b[:3]])
+        elif kind == 3:
+            b = rng.normal(size=mc)  # often infeasible
+        lps.append((rng.normal(size=nv), a, b, lb, ub, bool(rng.integers(2))))
+    # Beale's cycling example drives the Bland fallback
+    lps.append(([-0.75, 150.0, -0.02, 6.0],
+                [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
+                [0.0, 0.0, 1.0], [0.0] * 4, [1e6] * 4, False))
+    return lps
+
+
+def test_sparse_pivot_bit_identical_to_dense_update(monkeypatch):
+    lps = _pivot_test_lps()
+    ours = [solve_boxed_lp(c, a, b, lb, ub, maximize=mx) for c, a, b, lb, ub, mx in lps]
+    monkeypatch.setattr(qcr.simplex, "_pivot", _dense_pivot)
+    ref = [solve_boxed_lp(c, a, b, lb, ub, maximize=mx) for c, a, b, lb, ub, mx in lps]
+    statuses = {r.status for r in ref}
+    assert statuses == {"optimal", "infeasible"}
+    for i, (o, r) in enumerate(zip(ours, ref)):
+        assert o.status == r.status, f"lp {i}"
+        assert o.iterations == r.iterations, f"lp {i}"
+        if r.x is None:
+            assert o.x is None, f"lp {i}"
+        else:
+            assert np.array_equal(o.x, r.x), f"lp {i}"
