@@ -1,9 +1,9 @@
 """Command-line surface: model ingestion, dispatch, report emission.
 
 Exit codes: 0 success (and checker-true), 1 checker-false, 2 input error,
-3 solver unconverged. Reports go to stdout as text or, with --json, as a
-deterministic JSON document; diagnostics go to stderr, with verbosity
-selected by the QCR_LOG environment variable (error, info, debug).
+3 solver unconverged or failed. Reports go to stdout as text or, with
+--json, as a deterministic JSON document; diagnostics go to stderr, with
+verbosity selected by the QCR_LOG environment variable (error, info, debug).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from .dual import SolverConfig, random_model_certificate, separation_oracle, solve_dual, spur
-from .errors import QcrError, ValidationError
+from .errors import NumericError, QcrError, ValidationError
 from .measurement import (
     covariance,
     frontier_witness_2d,
@@ -81,7 +81,9 @@ def load_model_file(path: str) -> StatisticalModel:
         raise ValidationError("model file: expected an object with 'dim', 'rho' and 'tangent'")
     try:
         dim = int(doc["dim"])
-    except (TypeError, ValueError) as exc:
+        if isinstance(doc["dim"], float) and dim != doc["dim"]:
+            raise ValueError("not integral")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"model file: 'dim' must be an integer, got {doc['dim']!r}") from exc
     rho = _parse_complex_matrix(doc.get("rho"), dim, "rho")
     tangent_nodes = doc.get("tangent")
@@ -440,12 +442,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except QcrError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_UNCONVERGED if isinstance(exc, NumericError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

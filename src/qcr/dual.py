@@ -8,20 +8,23 @@ tangent coordinates and a d x d Hermitian ``S``, subject to
 for every tangent coordinate vector xi. The semi-infinite PSD constraint
 is enforced through scalar cuts v^dag R(xi) v >= 0, each linear in
 (a, S); every round solves the relaxed LP with the embedded dense simplex
-and a multistart separation oracle supplies new violated cuts.
+and a separation oracle supplies new violated cuts. For a fixed unit
+witness v the cut is a convex quadratic in xi with closed-form minimizer
+xi*(v), so the oracle searches the compact witness sphere: it maps sampled
+witnesses to xi*(v) and polishes the lowest points by alternating descent.
 
-The oracle is heuristic, so soundness never rests on it: the final point
-is shifted along the identity until a boosted separation sweep certifies
-feasibility, and the reported optimum is the objective of that shifted
-point. Together with the monotone LP relaxation value this sandwiches the
-true optimum to within roughly feas_tol * d.
+The oracle is heuristic, and so is the final feasibility restoration: the
+last point is shifted along the identity until a boosted sweep finds no
+violation (a sweep can miss a narrow one), and the reported optimum is
+the objective of that shifted point. Together with the monotone LP
+relaxation value it brackets the true optimum to within roughly
+feas_tol * d.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +39,6 @@ log = logging.getLogger("qcr.dual")
 
 MAX_CUTS_PER_ROUND = 10
 RESTORE_TOL = 1e-12
-# points per batch of residuals in a separation sweep: bounds the sweep's
-# memory (a boosted d = 8 sweep has ~263k points) without changing a value
-LAM_MIN_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -82,15 +82,13 @@ class SolverConfig:
     feas_tol: float = 1e-7
     obj_tol: float = 1e-6
     max_rounds: int = 200
-    multistart: int = 32
-    radius_cap: float | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.feas_tol <= 0 or self.obj_tol <= 0:
             raise ValidationError("solver tolerances must be positive")
-        if self.max_rounds < 1 or self.multistart < 1:
-            raise ValidationError("max_rounds and multistart must be at least 1")
+        if self.max_rounds < 1:
+            raise ValidationError("max_rounds must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -155,10 +153,10 @@ class _Separation:
 
 
 def _spread_select(points: np.ndarray, candidate_idx: np.ndarray, count: int,
-                   rel_dist: float, seed_point: np.ndarray | None = None) -> np.ndarray:
+                   rel_dist: float) -> np.ndarray:
     """Greedy selection of candidates kept pairwise apart at a relative scale."""
-    chosen: list[np.ndarray] = [] if seed_point is None else [seed_point]
-    chosen_norms: list[float] = [] if seed_point is None else [float(np.linalg.norm(seed_point))]
+    chosen: list[np.ndarray] = []
+    chosen_norms: list[float] = []
     for idx in candidate_idx:
         if len(chosen) >= count:
             break
@@ -183,7 +181,6 @@ class _Engine:
     """
 
     def __init__(self, model: StatisticalModel, g, obj: np.ndarray):
-        self.model = model
         self.rho = np.asarray(model.rho.matrix)
         self.ops = np.stack([np.asarray(t) for t in model.tangent])
         self.G = require_weight_matrix(g)
@@ -199,7 +196,7 @@ class _Engine:
         self.nB = self.n_ops * self.m
         self.nv = self.nB + d + 2 * self.npair
 
-        gw = np.linalg.eigvalsh(self.G)
+        gw, gv = np.linalg.eigh(self.G)
         jw = np.linalg.eigvalsh(model.fisher)
         kap = math.sqrt(gw[-1] / jw[0])
         rank = min(self.n_ops, self.m)
@@ -209,18 +206,12 @@ class _Engine:
         sigma = 4.0 * obj_f * math.sqrt(rank) * kap
         self.b_box = 2.0 * kap * sigma
         self.s_box = 2.0 * obj_f * math.sqrt(rank) * kap * sigma
-        self.g_min = float(gw[0])
-        self.rho_min = float(np.linalg.eigvalsh(self.rho)[0])
-        self.k_norm = math.sqrt(sum(float(np.linalg.norm(op, 2)) ** 2 for op in self.ops))
 
-        self.j_sqrt = model.fisher_sqrt
-        gv_w, gv = np.linalg.eigh(self.G)
-        self.g_isqrt = (gv / np.sqrt(gv_w)) @ gv.T
+        self.g_inv = (gv / gw) @ gv.T
         if self.m == self.n_ops:
             self.basis = np.array(model.fisher_isqrt)
         else:
             self.basis = np.diag(1.0 / np.sqrt(np.diag(self.G)))
-        self.basis_scale = float(np.max(np.linalg.norm(self.basis, axis=1)))
 
         lb = np.empty(self.nv)
         ub = np.empty(self.nv)
@@ -234,23 +225,6 @@ class _Engine:
         cvec[: self.nB] = self.obj.ravel()
         cvec[self.nB: self.nB + d] = 1.0
         self.cvec = cvec
-
-        lin_max = math.sqrt(self.nB) * self.b_box * self.k_norm
-        const_max = math.sqrt(d + 2 * self.npair) * self.s_box
-        self.auto_cap = self._radius_from(lin_max, const_max)
-
-    # -- geometry -----------------------------------------------------------
-
-    def _radius_from(self, lin: float, const: float) -> float:
-        quad = self.g_min * self.rho_min
-        return (lin + math.sqrt(lin * lin + 4.0 * quad * (const + 1.0))) / (2.0 * quad)
-
-    def radius(self, b: np.ndarray, s: np.ndarray, cap: float | None) -> float:
-        r = self._radius_from(
-            float(np.linalg.norm(b, 2)) * self.k_norm, float(np.linalg.norm(s, 2))
-        )
-        r = max(r, 2.0 * self.basis_scale)
-        return min(r, cap if cap is not None else self.auto_cap)
 
     # -- LP pieces ----------------------------------------------------------
 
@@ -288,10 +262,7 @@ class _Engine:
         return quad[:, None, None] * self.rho[None] - s[None] - np.tensordot(coef, self.ops, axes=(1, 0))
 
     def lam_min(self, b: np.ndarray, s: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        out = np.empty(len(ys))
-        for lo in range(0, len(ys), LAM_MIN_BLOCK):
-            out[lo:lo + LAM_MIN_BLOCK] = _lam_min_batch(self.residuals(b, s, ys[lo:lo + LAM_MIN_BLOCK]))
-        return out
+        return _lam_min_batch(self.residuals(b, s, ys))
 
     def _descend(self, b, s, pts: np.ndarray, iters: int = 40) -> tuple[np.ndarray, np.ndarray]:
         """Alternating descent on lambda_min of the residual.
@@ -301,19 +272,13 @@ class _Engine:
         eigenvector of the residual decreases lambda_min monotonically and
         lands on critical points in a handful of iterations.
         """
-        pts = pts.copy()
         best_pts = pts.copy()
-        mats = self.residuals(b, s, pts)
-        best = _lam_min_batch(mats)
-        g_inv = self.g_isqrt @ self.g_isqrt
+        w, vecs = np.linalg.eigh(self.residuals(b, s, pts))
+        best = w[:, 0]
         for _ in range(iters):
-            w, vecs = np.linalg.eigh(mats)
-            v = vecs[:, :, 0]
-            rv = np.einsum("qi,ij,qj->q", v.conj(), self.rho, v).real
-            wk = np.einsum("qi,kij,qj->qk", v.conj(), self.ops, v).real
-            pts = ((wk @ b) @ g_inv) / (2.0 * rv[:, None])
-            mats = self.residuals(b, s, pts)
-            vals = _lam_min_batch(mats)
+            pts = self._witness_jumps(b, vecs[:, :, 0])
+            w, vecs = np.linalg.eigh(self.residuals(b, s, pts))
+            vals = w[:, 0]
             better = vals < best
             best_pts[better] = pts[better]
             improvement = float(np.max(best[better] - vals[better])) if np.any(better) else 0.0
@@ -338,8 +303,8 @@ class _Engine:
         blocks.append(vs / np.linalg.norm(vs, axis=1, keepdims=True))
         return np.vstack(blocks)
 
-    def _witness_jumps(self, b, s, vs: np.ndarray) -> np.ndarray:
-        """Exact scalar-cut minimizers for a batch of witness vectors.
+    def _witness_jumps(self, b, vs: np.ndarray) -> np.ndarray:
+        """Exact scalar-cut minimizers xi*(v) for a batch of witness vectors.
 
         Every critical point of the residual's smallest eigenvalue is the
         quadratic minimizer of its own witness, so a dense witness sample
@@ -347,53 +312,15 @@ class _Engine:
         """
         rv = np.einsum("qi,ij,qj->q", vs.conj(), self.rho, vs).real
         wk = np.einsum("qi,kij,qj->qk", vs.conj(), self.ops, vs).real
-        g_inv = self.g_isqrt @ self.g_isqrt
-        return ((wk @ b) @ g_inv) / (2.0 * rv[:, None])
+        return ((wk @ b) @ self.g_inv) / (2.0 * rv[:, None])
 
     def separate(self, b, s, rng: np.random.Generator, config: SolverConfig,
-                 extra_dirs=(), boost: int = 1) -> _Separation:
-        radius = self.radius(b, s, config.radius_cap)
+                 boost: int = 1) -> _Separation:
+        """Search the witness sphere: sampled witnesses, their jumps, then descent."""
         vs = self._witness_sample(rng, 128 * boost)
-        jumps = self._witness_jumps(b, s, vs)
-        jump_norms = np.linalg.norm(jumps, axis=1)
-        scale = float(np.percentile(jump_norms, 90)) + self.basis_scale
-
-        dir_blocks = [self.basis]
-        try:
-            _, _, vt = np.linalg.svd(self.j_sqrt @ b @ self.g_isqrt)
-            dir_blocks.append(vt @ self.g_isqrt)
-        except np.linalg.LinAlgError:
-            pass
-        if extra_dirs:
-            dir_blocks.append(np.stack(list(extra_dirs)))
-        dir_blocks.append(rng.normal(size=(config.multistart * boost, self.m)))
-        dirs = np.vstack(dir_blocks)
-        norms = np.linalg.norm(dirs, axis=1)
-        good = norms > 1e-12
-        dirs = dirs[good] / norms[good, None]
-        lin_extent = min(radius, 4.0 * scale)
-        ts = np.unique(np.concatenate([
-            np.linspace(-lin_extent, lin_extent, 17 * boost),
-            np.geomspace(max(radius * 1e-6, 1e-12), radius, 10 * boost),
-            -np.geomspace(max(radius * 1e-6, 1e-12), radius, 10 * boost),
-            [0.0],
-        ]))
-        blocks = [jumps, (ts[:, None, None] * dirs[None, :, :]).reshape(-1, self.m)]
-        # low-dimensional parameter spaces afford an exhaustive box grid around
-        # the scale where the witness jumps concentrate
-        if self.m <= 3:
-            per_axis = (41 if self.m == 2 else 21) * boost
-            axis = np.linspace(-min(radius, 3.0 * scale), min(radius, 3.0 * scale), per_axis)
-            grid = np.meshgrid(*([axis] * self.m), indexing="ij")
-            blocks.append(np.stack([g.ravel() for g in grid], axis=1))
-        blocks.append(np.zeros((1, self.m)))
-        ys = np.vstack(blocks)
+        ys = np.vstack([self._witness_jumps(b, vs), np.zeros((1, self.m))])
         vals = self.lam_min(b, s, ys)
-        order = np.argsort(vals)
-        # descent starts spread at basin scale so distinct minima get polished
-        starts = _spread_select(ys, order[: 1024 * boost], 24 * boost, 0.02,
-                                seed_point=np.zeros(self.m))
-        pts, pvals = self._descend(b, s, starts)
+        pts, pvals = self._descend(b, s, ys[np.argsort(vals)[: 24 * boost]])
 
         all_pts = np.vstack([ys, pts])
         all_vals = np.concatenate([vals, pvals])
@@ -464,7 +391,6 @@ class _Engine:
             for i in range(self.d):
                 register(np.asarray(y, dtype=float), rho_vecs[:, i])
 
-        witness_dirs: deque[np.ndarray] = deque(maxlen=16)
         lp_values: list[float] = []
         feasible_points: list[tuple[float, np.ndarray, np.ndarray]] = []
         prev_lp: float | None = None
@@ -481,7 +407,7 @@ class _Engine:
                 raise NumericError(f"cutting-plane relaxation came back {lp.status}")
             b, s = self.unpack(lp.x)
             lp_values.append(lp.value)
-            sep = self.separate(b, s, rng, config, witness_dirs)
+            sep = self.separate(b, s, rng, config)
             shift = min(0.0, sep.min_value)
             feasible_points.append((lp.value + shift * self.d, b, s + shift * np.eye(self.d)))
             log.debug("round %d: lp=%.9g sep=%.3e cuts=%d", rounds, lp.value, sep.min_value, len(cuts))
@@ -505,9 +431,6 @@ class _Engine:
                         hit = True
                 if hit:
                     added += 1
-                    nrm = np.linalg.norm(y)
-                    if nrm > 1e-12:
-                        witness_dirs.append(y / nrm)
             if added == 0:
                 stuck += 1
                 jitter = sep.best + rng.normal(scale=1e-6 * (1.0 + np.linalg.norm(sep.best)),
@@ -520,11 +443,11 @@ class _Engine:
             else:
                 stuck = 0
 
-        # certified feasibility restoration: shift S along the identity until a
+        # heuristic feasibility restoration: shift S along the identity until a
         # boosted sweep finds no violation beyond RESTORE_TOL
         feasibility = 0.0
         for _ in range(5):
-            sep = self.separate(b, s, rng, config, witness_dirs, boost=3)
+            sep = self.separate(b, s, rng, config, boost=3)
             feasibility = sep.min_value
             if sep.min_value >= -RESTORE_TOL:
                 break
@@ -550,9 +473,10 @@ class _EngineResult:
 def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -> DualResult:
     """Cutting-plane solution of the dual program for a PD weight matrix.
 
-    The returned ``optimum`` is the objective of a certified-feasible dual
-    point, hence a valid bound on the deviation of every locally unbiased
-    measurement up to the restoration tolerance; ``lp_value`` is the final
+    The returned ``optimum`` is the objective of the final dual point after
+    feasibility restoration: a lower bound on the deviation of every locally
+    unbiased measurement as far as the restoration sweep finds no violation
+    beyond its tolerance (``feasibility``). ``lp_value`` is the final
     relaxation value bounding the true optimum from above.
     """
     cfg = config or SolverConfig()
@@ -574,11 +498,14 @@ def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -
 
 def separation_oracle(model: StatisticalModel, g, dual: DualPoint,
                       config: SolverConfig | None = None) -> SeparationResult:
-    """Best-effort minimum of the residual's smallest eigenvalue over tangent space.
+    """Witness-sphere search for the minimum of the residual's smallest eigenvalue.
 
-    Returns the most violating point found and the matching scalar cut. A
-    nonnegative ``min_value`` is evidence, not proof, of feasibility; callers
-    needing certainty should rely on the certificate-gap identities.
+    Every sampled unit witness v is mapped to the tangent point xi*(v) that
+    minimizes its scalar cut, the lowest of those points are polished by
+    alternating descent, and the most violating point found is returned
+    with its scalar cut. A nonnegative ``min_value`` is evidence, not proof,
+    of feasibility; callers needing certainty should rely on the
+    certificate-gap identities.
     """
     cfg = config or SolverConfig()
     gm = require_weight_matrix(g, model.n)

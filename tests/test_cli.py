@@ -8,6 +8,7 @@ import pytest
 
 import qcr
 from qcr.cli import main
+from qcr.errors import NumericError
 from qcr.serialize import dumps_report
 
 
@@ -107,6 +108,17 @@ def test_dual_unconverged_exits_3(capsys):
                        "--max-rounds", "2", "--seed", "0")
     assert code == 3
     assert "unconverged" in out
+
+
+def test_dual_solver_failure_exits_3(capsys, monkeypatch):
+    def fail(*_args, **_kwargs):
+        raise NumericError("cutting-plane relaxation came back infeasible")
+
+    monkeypatch.setattr("qcr.cli.solve_dual", fail)
+    code, out, err = run(capsys, "dual", "--model", "qubit-full", "--alpha", "0.6", "--seed", "0")
+    assert code == 3
+    assert err.startswith("error: ")
+    assert out == ""
 
 
 def test_dual_certify(capsys):
@@ -234,6 +246,8 @@ MALFORMED_NUMBERS = [
     ("probs", ["bound", "--model", "qutrit-diagonal", "--probs", "0.5,abc,0.25"], None, None),
     ("model-dim", ["info"], "model", _model_doc(dim="two")),
     ("model-dim-null", ["info"], "model", _model_doc(dim=None)),
+    ("model-dim-fraction", ["info"], "model", _model_doc(dim=2.5)),
+    ("model-dim-inf", ["info"], "model", _model_doc(dim=float("inf"))),
     ("model-entry", ["info"], "model",
      _model_doc(rho={"re": [[0.8, "x"], [0.0, 0.2]], "im": [[0.0, 0.0], [0.0, 0.0]]})),
     ("g-entry", ["bound", "--model", "qubit-full", "--alpha", "0.6"], "g",

@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 
 from qcr.dual import (
-    LAM_MIN_BLOCK,
     Cut,
     DualPoint,
     SolverConfig,
     _Engine,
-    _lam_min_batch,
     dual_submodel_inequality,
     random_model_certificate,
     residual,
@@ -135,24 +133,9 @@ def commuting_model(d, n, seed):
     return build_model(DensityOperator(rho), tangents)
 
 
-def test_blocked_lam_min_matches_one_shot_batch():
-    m = builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25))
-    engine = _Engine(m, np.eye(2), np.eye(2))
-    rng = np.random.default_rng(4)
-    b = rng.normal(size=(2, 2))
-    h = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    s = -(h @ h.conj().T)
-    # a ragged last block, and points spread over several scales
-    ys = rng.normal(size=(10_001, 2)) * np.geomspace(1e-3, 1e2, 10_001)[:, None]
-    assert ys.shape[0] > 2 * LAM_MIN_BLOCK
-    blocked = engine.lam_min(b, s, ys)
-    one_shot = _lam_min_batch(engine.residuals(b, s, ys))
-    assert np.array_equal(blocked, one_shot)
-
-
 def test_boosted_sweep_memory_is_bounded():
-    # d = 4, n = 3: a boost-3 sweep evaluates ~263k points, whose residuals
-    # alone take 64 MB when built in one array
+    # d = 4, n = 3: a boost-3 sweep evaluates 385 points (384 witness jumps
+    # and xi = 0) and polishes the 72 lowest by descent
     m = commuting_model(4, 3, seed=0)
     engine = _Engine(m, np.eye(3), np.eye(3))
     b = np.zeros((3, 3))
@@ -319,6 +302,40 @@ def test_random_qutrit_between_classical_and_random_bounds():
     classical = float(np.trace(g @ m.fisher_inverse))
     random_bound = optimal_random_bound(m, g)
     assert classical - 1e-3 <= sol.optimum <= random_bound + 1e-3
+
+
+# -- known-answer soundness -------------------------------------------------------
+# optimum must stay a lower and lp_value an upper bound on the exact value,
+# converged or not
+
+
+@pytest.mark.parametrize("d, n, seed", [(3, 2, 100), (3, 2, 101), (3, 2, 102),
+                                        (4, 3, 100), (4, 3, 101), (4, 3, 102)])
+def test_commuting_model_bracket_is_sound(d, n, seed):
+    m = commuting_model(d, n, seed)
+    g = np.eye(n)
+    cfg = SolverConfig(feas_tol=1e-5, obj_tol=1e-5, max_rounds=60, seed=0)
+    sol = solve_dual(m, g, cfg)
+    # commuting models attain the classical bound
+    exact = float(np.trace(g @ m.fisher_inverse))
+    assert sol.optimum <= exact + cfg.obj_tol
+    assert sol.lp_value >= exact - cfg.obj_tol
+
+
+def test_unitarily_rotated_qubit_bracket_is_sound():
+    rng = np.random.default_rng(100)
+    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    u = q * (np.diag(r) / np.abs(np.diag(r)))
+    base = qubit(0.6)
+    m = build_model(DensityOperator(u @ base.rho.matrix @ u.conj().T),
+                    [u @ t @ u.conj().T for t in base.tangent])
+    a = rng.normal(size=(3, 3))
+    g = a @ a.T + 0.3 * np.eye(3)
+    cfg = SolverConfig(feas_tol=1e-4, obj_tol=1e-4, seed=0)
+    sol = solve_dual(m, g, cfg)
+    exact = optimal_random_bound(m, g)
+    assert sol.optimum <= exact + cfg.obj_tol
+    assert sol.lp_value >= exact - cfg.obj_tol
 
 
 # -- cut and config types ---------------------------------------------------------------
