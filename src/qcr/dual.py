@@ -7,8 +7,9 @@ tangent coordinates and a d x d Hermitian ``S``, subject to
 
 for every tangent coordinate vector xi. The semi-infinite PSD constraint
 is enforced through scalar cuts v^dag R(xi) v >= 0, each linear in
-(a, S); every round solves the relaxed LP with the embedded dense simplex
-and a separation oracle supplies new violated cuts. For a fixed unit
+(a, S); every round solves the relaxed LP with the embedded dense simplex,
+restarted from the previous round's basis, and a separation oracle
+supplies new violated cuts. For a fixed unit
 witness v the cut is a convex quadratic in xi with closed-form minimizer
 xi*(v), so the oracle searches the compact witness sphere: it maps sampled
 witnesses to xi*(v) and polishes the lowest points by alternating descent.
@@ -361,11 +362,12 @@ class _Engine:
             v_stack = np.vstack([v_stack, v[None, :]])
             return True
 
-        def drop_stale(x: np.ndarray) -> None:
-            # retire cuts slack for many consecutive rounds; the tableau stays small
+        def drop_stale(x: np.ndarray) -> list[int]:
+            # retire cuts slack for many consecutive rounds; the LP stays small.
+            # Returns the indices of the kept cuts.
             nonlocal xi_stack, v_stack
             if len(cuts) <= 4 * self.nv:
-                return
+                return list(range(len(cuts)))
             slack = np.asarray(rhss) - np.asarray(rows) @ x
             keep = []
             for i, sl in enumerate(slack):
@@ -382,6 +384,7 @@ class _Engine:
                     seq.extend(kept)
                 xi_stack = xi_stack[keep]
                 v_stack = v_stack[keep]
+            return keep
 
         rho_vecs = np.linalg.eigh(self.rho)[1]
         seeds = [np.zeros(self.m)]
@@ -399,10 +402,11 @@ class _Engine:
         stuck = 0
         b = np.zeros((self.n_ops, self.m))
         s = np.zeros((self.d, self.d), dtype=complex)
+        start = None  # the last round's basis; appended cut rows leave it valid
         for rnd in range(config.max_rounds):
             rounds = rnd + 1
             lp = solve_boxed_lp(self.cvec, np.vstack(rows), np.array(rhss),
-                                self.lb, self.ub, maximize=True)
+                                self.lb, self.ub, maximize=True, start=start)
             if lp.status != "optimal":
                 raise NumericError(f"cutting-plane relaxation came back {lp.status}")
             b, s = self.unpack(lp.x)
@@ -410,15 +414,29 @@ class _Engine:
             sep = self.separate(b, s, rng, config)
             shift = min(0.0, sep.min_value)
             feasible_points.append((lp.value + shift * self.d, b, s + shift * np.eye(self.d)))
-            log.debug("round %d: lp=%.9g sep=%.3e cuts=%d", rounds, lp.value, sep.min_value, len(cuts))
+            # every cut is one LP row
+            log.debug("round %d: lp=%.9g sep=%.3e rows=%d pivots=%d warm=%s", rounds,
+                      lp.value, sep.min_value, len(rhss), lp.iterations, lp.warm)
             obj_static = prev_lp is not None and abs(prev_lp - lp.value) < config.obj_tol
             prev_lp = lp.value
+            start = lp.basis
             if sep.min_value >= -config.feas_tol:
                 if obj_static:
                     status = "converged"
                     break
                 continue
-            drop_stale(lp.x)
+            n_cuts = len(cuts)
+            keep = drop_stale(lp.x)
+            if len(keep) < n_cuts:
+                # renumber the basic cut rows; a basic cut is tight, so it is
+                # never retired, but if one were the next round starts cold
+                new_row = np.full(n_cuts, -1)
+                new_row[keep] = np.arange(len(keep))
+                basic = start >= 0
+                start = start.copy()
+                start[basic] = new_row[start[basic]]
+                if np.any(start[basic] < 0):
+                    start = None
             added = 0
             for y in sep.violated:
                 mat = self.residual_mat(b, s, y)

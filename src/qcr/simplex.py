@@ -1,17 +1,32 @@
-"""Dense two-phase simplex for small box-constrained linear programs.
+"""Dense simplex for small box-constrained linear programs, run on their dual.
 
-Built for the cutting-plane solver: a few hundred inequality rows over at
-most ~100 variables, re-solved from scratch every round. The tableau is a
-dense column-major (Fortran-order) array, so each column is contiguous.
-A pivot applies its rank-1 update only to the columns where the normalised
-pivot row is nonzero; any other entry would compute ``x - r * 0 = x``, so
-the tableau is bit-identical to a full dense update (up to the sign of a
-zero, which no comparison sees). Entering variables take the most negative
-reduced cost with smallest-index tie-breaking; the leaving row comes from
-a Harris two-pass ratio test, which keeps pivots large and bounds how far
-round-off can push any basic variable negative. After a long degenerate
-stall the method switches to Bland's rule outright, which rules out
-cycling, and every result is verified feasible before it is returned.
+``solve_boxed_lp`` maximizes c @ x subject to A x <= b and lb <= x <= ub by
+running the primal simplex method on the LP dual
+
+    min  b @ u + ub @ p - lb @ q   s.t.  A^T u + p - q = c,  u, p, q >= 0.
+
+The dual has one equality row per variable, however many rows A has: each
+row of A is a dual column, and each variable bound is another. The bound
+columns give a feasible start with no phase one (p_j where c_j >= 0, else
+q_j: the vertex of the box that maximizes c). An unbounded dual ray proves
+the primal infeasible, and the primal point is read from the reduced costs
+of the bound columns, x_j = ub_j - rc(p_j).
+
+Every optimal result carries its basis as labels: i >= 0 is row i of A and
+negative codes are bound columns. Passed back as ``start`` (the labels
+remapped if rows were removed; appended rows need nothing), it restarts the
+method from that basis. The tableau is rebuilt from the problem data by one
+nv x nv solve, so no state and no round-off carry over between calls. A
+label out of range, a singular or ill-conditioned basis, or one whose
+rebuilt basic solution is negative falls back to the box start.
+
+The tableau is a dense row-major array updated by full rank-1 pivots.
+Entering columns take the most negative reduced cost with smallest-index
+tie-breaking; the leaving row comes from a Harris two-pass ratio test,
+which keeps pivots large and bounds how far round-off can push any basic
+variable negative. After a long degenerate stall the method switches to
+Bland's rule outright, which rules out cycling, and every result is
+verified feasible before it is returned.
 """
 
 from __future__ import annotations
@@ -23,7 +38,6 @@ import numpy as np
 from .errors import NumericError, ValidationError
 
 PIVOT_TOL = 1e-9
-PHASE1_TOL = 1e-7
 RATIO_TIE_TOL = 1e-9
 STALL_LIMIT = 300
 
@@ -34,33 +48,30 @@ class LpResult:
     x: np.ndarray | None
     value: float
     iterations: int
+    basis: np.ndarray | None = None  # labels of the final dual basis, for ``start``
+    warm: bool = False  # whether the solve restarted from ``start``
 
 
 def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
-    nz = np.flatnonzero(tab[row])
     rates = tab[:, col].copy()
     rates[row] = 0.0
-    tab[:, nz] -= rates[:, None] * tab[row, nz][None, :]
+    tab -= np.outer(rates, tab[row])
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
 
 
-def _iterate(tab: np.ndarray, basis: np.ndarray, ncols: int, tol: float, max_iter: int,
-             bland: bool = False) -> int:
-    """Run pivots until optimality; returns the iteration count.
-
-    Raises NumericError on iteration exhaustion and flags unboundedness,
-    which cannot happen for the boxed programs built below.
-    """
+def _iterate(tab: np.ndarray, basis: np.ndarray, tol: float, max_iter: int,
+             bland: bool = False) -> tuple[int, bool]:
+    """Minimize by pivoting; returns the iteration count and False on an unbounded ray."""
     it = 0
     stall = 0
     while True:
-        cost = tab[-1, :ncols]
+        cost = tab[-1, :-1]
         neg = np.flatnonzero(cost < -tol)
         if neg.size == 0:
-            return it
+            return it, True
         if bland:
             enter = int(neg[0])
         else:
@@ -69,7 +80,7 @@ def _iterate(tab: np.ndarray, basis: np.ndarray, ncols: int, tol: float, max_ite
         col = tab[:-1, enter]
         rows = np.flatnonzero(col > tol)
         if rows.size == 0:
-            raise NumericError("simplex: unbounded direction in a boxed program")
+            return it, False
         # floor at zero so round-off negatives cannot win the ratio test
         rhs = np.maximum(tab[rows, -1], 0.0)
         ratios = rhs / col[rows]
@@ -102,71 +113,33 @@ def _iterate(tab: np.ndarray, basis: np.ndarray, ncols: int, tol: float, max_ite
             raise NumericError(f"simplex: iteration limit {max_iter} exceeded")
 
 
-def _two_phase(c: np.ndarray, a: np.ndarray, b: np.ndarray, tol: float,
-               bland: bool = False) -> tuple[str, np.ndarray | None, int]:
-    """Minimize c @ y subject to a @ y <= b, y >= 0."""
-    m0, n = a.shape
-    m = m0
-    flip = b < 0.0
-    af = np.where(flip[:, None], -a, a)
-    bf = np.where(flip, -b, b)
-    slack = np.where(flip, -1.0, 1.0)
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.size
-    ncols = n + m0 + n_art
-    tab = np.zeros((m + 1, ncols + 1), order="F")
-    tab[:m, :n] = af
-    tab[np.arange(m), n + np.arange(m)] = slack
-    for j, r in enumerate(art_rows):
-        tab[r, n + m0 + j] = 1.0
-    tab[:m, -1] = bf
-    basis = np.empty(m, dtype=int)
-    basis[~flip] = n + np.flatnonzero(~flip)
-    basis[flip] = n + m0 + np.arange(n_art)
-
-    iters = 0
-    max_iter = 5000 + 200 * (m + n)
-    if n_art:
-        cost = np.zeros(ncols + 1)
-        cost[n + m0:ncols] = 1.0
-        for r in art_rows:
-            cost -= tab[r]
-        tab[-1] = cost
-        iters += _iterate(tab, basis, ncols, tol, max_iter, bland)
-        if tab[-1, -1] < -PHASE1_TOL * (1.0 + float(np.max(bf, initial=0.0))):
-            return "infeasible", None, iters
-        # drive basic artificials out, dropping redundant rows
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= n + m0:
-                row = tab[r, : n + m0]
-                cols = np.flatnonzero(np.abs(row) > tol)
-                if cols.size:
-                    _pivot(tab, basis, r, int(cols[0]))
-                else:
-                    keep[r] = False
-        tab = np.asfortranarray(tab[np.ix_(np.append(keep, True), np.r_[: n + m0, ncols])])
-        basis = basis[keep]
-        ncols = n + m0
-
-    cost = np.zeros(ncols + 1)
-    cost[:n] = c
-    for r, bi in enumerate(basis):
-        if cost[bi] != 0.0:
-            cost = cost - cost[bi] * tab[r]
-    tab[-1] = cost
-    iters += _iterate(tab, basis, ncols, tol, max_iter, bland)
-    y = np.zeros(ncols)
-    for r, bi in enumerate(basis):
-        y[bi] = tab[r, -1]
-    return "optimal", y[:n], iters
+def _tableau(mat: np.ndarray, cost: np.ndarray, cols: np.ndarray, rhs_floor: float) -> np.ndarray | None:
+    """Dual tableau in the basis ``cols``, or None if that basis is singular or infeasible."""
+    try:
+        body = np.linalg.solve(mat[:, cols], mat)
+    except np.linalg.LinAlgError:
+        return None
+    eye = np.eye(cols.size)
+    if not np.all(np.isfinite(body)) or np.max(np.abs(body[:, cols] - eye), initial=0.0) > 1e-9:
+        return None  # too ill-conditioned to reproduce its own columns
+    if np.min(body[:, -1]) < rhs_floor:
+        return None
+    body[:, cols] = eye
+    body[:, -1] = np.maximum(body[:, -1], 0.0)
+    reduced = cost - cost[cols] @ body
+    reduced[cols] = 0.0
+    return np.vstack([body, reduced])
 
 
-def solve_boxed_lp(c, a_ub, b_ub, lb, ub, *, maximize: bool = False, tol: float = PIVOT_TOL) -> LpResult:
-    """Optimize c @ x subject to a_ub @ x <= b_ub and lb <= x <= ub.
+def solve_boxed_lp(c, a_ub, b_ub, lb, ub, *, maximize: bool = False, tol: float = PIVOT_TOL,
+                   start=None) -> LpResult:
+    """Optimize c @ x subject to a_ub @ x <= b_ub and lb <= x <= ub, through the LP dual.
 
-    Both bound vectors must be finite; the box is folded into the constraint
-    rows after shifting the variables to be nonnegative.
+    Both bound vectors must be finite. ``start`` takes the ``basis`` of an
+    earlier result on the same variables and bounds, whose rows may since
+    have been appended to or removed (with the row labels remapped); the
+    method restarts from that basis when it is valid, and from the box
+    vertex otherwise. Infeasibility is reported as status "infeasible".
     """
     c = np.asarray(c, dtype=float)
     lb = np.asarray(lb, dtype=float)
@@ -181,21 +154,44 @@ def solve_boxed_lp(c, a_ub, b_ub, lb, ub, *, maximize: bool = False, tol: float 
     if np.any(ub - lb < -1e-12):
         return LpResult("infeasible", None, float("nan"), 0)
 
-    width = np.maximum(ub - lb, 0.0)
-    a2 = np.vstack([a, np.eye(nv)])
-    b2 = np.concatenate([b - a @ lb, width])
-    obj = -c if maximize else c
+    m = b.size
+    obj = c if maximize else -c
+    eye = np.eye(nv)
+    # dual columns: u (rows of A), p (x <= ub), q (x >= lb), then the right-hand side
+    mat = np.hstack([a.T, eye, -eye, obj[:, None]])
+    cost = np.concatenate([b, ub, -lb, [0.0]])
+    rhs_floor = -1e-9 * (1.0 + float(np.max(np.abs(obj), initial=0.0)))
+    box = m + np.arange(nv) + np.where(obj >= 0.0, 0, nv)
+    max_iter = 5000 + 200 * (m + 3 * nv)
+
+    def run(cols: np.ndarray, bland: bool = False):
+        tab = _tableau(mat, cost, cols, rhs_floor)
+        if tab is None:
+            return None
+        cols = cols.copy()
+        iters, bounded = _iterate(tab, cols, tol, max_iter, bland)
+        if not bounded:
+            return cols, None, iters
+        return cols, np.clip(ub - tab[-1, m: m + nv], lb, ub), iters
+
+    out = None
+    if start is not None:
+        labels = np.asarray(start, dtype=np.intp).reshape(-1)
+        if labels.size == nv and np.all((labels >= -2 * nv) & (labels < m)):
+            out = run(np.where(labels >= 0, labels, m - 1 - labels))
+    warm = out is not None
+    if out is None:
+        out = run(box)
+    cols, x, iters = out
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    status, y, iters = _two_phase(obj, a2, b2, tol)
-    if status == "optimal" and b.size:
+    if x is not None and m and float(np.max(a @ x - b)) > 1e-7 * scale:
         # numerically degenerate instances occasionally drift infeasible;
-        # one pure-Bland restart is slow but dependable
-        if float(np.max(a @ (lb + y) - b)) > 1e-7 * scale:
-            status, y, more = _two_phase(obj, a2, b2, tol, bland=True)
-            iters += more
-            if status == "optimal" and float(np.max(a @ (lb + y) - b)) > 1e-6 * scale:
-                raise NumericError("simplex: result failed the feasibility check")
-    if status != "optimal":
-        return LpResult(status, None, float("nan"), iters)
-    x = lb + y
-    return LpResult("optimal", x, float(c @ x), iters)
+        # one pure-Bland restart from the box is slow but dependable
+        cols, x, more = run(box, bland=True)
+        iters += more
+        warm = False
+        if x is not None and float(np.max(a @ x - b)) > 1e-6 * scale:
+            raise NumericError("simplex: result failed the feasibility check")
+    if x is None:
+        return LpResult("infeasible", None, float("nan"), iters, warm=warm)
+    return LpResult("optimal", x, float(c @ x), iters, np.where(cols < m, cols, m - 1 - cols), warm)

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qcr.dual
 from qcr.dual import (
     Cut,
     DualPoint,
@@ -322,13 +323,20 @@ def test_commuting_model_bracket_is_sound(d, n, seed):
     assert sol.lp_value >= exact - cfg.obj_tol
 
 
+def haar_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def rotated(model, u):
+    """The model under rho -> U rho U^dag, T -> U T U^dag."""
+    return build_model(DensityOperator(u @ model.rho.matrix @ u.conj().T),
+                       [u @ t @ u.conj().T for t in model.tangent])
+
+
 def test_unitarily_rotated_qubit_bracket_is_sound():
     rng = np.random.default_rng(100)
-    q, r = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    u = q * (np.diag(r) / np.abs(np.diag(r)))
-    base = qubit(0.6)
-    m = build_model(DensityOperator(u @ base.rho.matrix @ u.conj().T),
-                    [u @ t @ u.conj().T for t in base.tangent])
+    m = rotated(qubit(0.6), haar_unitary(rng, 2))
     a = rng.normal(size=(3, 3))
     g = a @ a.T + 0.3 * np.eye(3)
     cfg = SolverConfig(feas_tol=1e-4, obj_tol=1e-4, seed=0)
@@ -336,6 +344,52 @@ def test_unitarily_rotated_qubit_bracket_is_sound():
     exact = optimal_random_bound(m, g)
     assert sol.optimum <= exact + cfg.obj_tol
     assert sol.lp_value >= exact - cfg.obj_tol
+
+
+@pytest.mark.parametrize("name", ["qubit-full", "qutrit-diagonal"])
+def test_optimum_is_invariant_under_unitary_rotation(name):
+    rng = np.random.default_rng(7)
+    if name == "qubit-full":
+        base = qubit(0.6)
+        a = rng.normal(size=(3, 3))
+        g = a @ a.T + 0.3 * np.eye(3)
+    else:
+        base = builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25))
+        g = np.eye(2)
+    cfg = SolverConfig(feas_tol=1e-4, obj_tol=1e-4, seed=0)
+    sols = [solve_dual(m, g, cfg) for m in (base, rotated(base, haar_unitary(rng, base.dim)))]
+    # each bracket [optimum, lp_value] holds the same optimum, so they overlap
+    assert max(s.optimum for s in sols) <= min(s.lp_value for s in sols) + cfg.obj_tol
+    if name == "qubit-full":
+        exact = optimal_random_bound(base, g)
+        for sol in sols:
+            assert sol.optimum <= exact + cfg.obj_tol
+            assert sol.lp_value >= exact - cfg.obj_tol
+
+
+# -- warm-started relaxations ------------------------------------------------------
+
+@pytest.mark.parametrize("name", ["qubit-full", "commuting-d4"])
+def test_warm_started_relaxations_match_cold_solves(monkeypatch, name):
+    if name == "qubit-full":
+        m = qubit(0.6)
+    else:
+        m = commuting_model(4, 3, seed=100)
+    solve = qcr.dual.solve_boxed_lp
+    warm_flags = []
+
+    def warm_and_cold(c, a, b, lb, ub, **kw):
+        warm = solve(c, a, b, lb, ub, **kw)
+        cold = solve(c, a, b, lb, ub, **{**kw, "start": None})
+        assert warm.status == cold.status == "optimal"
+        assert abs(warm.value - cold.value) <= 1e-9 * (1.0 + abs(cold.value))
+        warm_flags.append(warm.warm)
+        return warm
+
+    monkeypatch.setattr(qcr.dual, "solve_boxed_lp", warm_and_cold)
+    solve_dual(m, np.eye(3), SolverConfig(feas_tol=1e-5, obj_tol=1e-5, max_rounds=60, seed=0))
+    # a silent fallback to cold solves would fail here
+    assert sum(warm_flags) >= 0.9 * len(warm_flags)
 
 
 # -- cut and config types ---------------------------------------------------------------

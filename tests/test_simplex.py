@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import qcr.simplex
 from qcr.simplex import solve_boxed_lp
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
@@ -111,17 +110,6 @@ def test_near_duplicate_rows_stay_feasible():
         assert ours.value == pytest.approx(-ref.fun, abs=1e-6), f"trial {trial}"
 
 
-def _dense_pivot(tab, basis, row, col):
-    # reference: the rank-1 update over the whole tableau
-    tab[row] /= tab[row, col]
-    rates = tab[:, col].copy()
-    rates[row] = 0.0
-    tab -= rates[:, None] * tab[row][None, :]
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
-    basis[row] = col
-
-
 def _pivot_test_lps():
     rng = np.random.default_rng(2024)
     lps = []
@@ -155,17 +143,138 @@ def _pivot_test_lps():
     return lps
 
 
-def test_sparse_pivot_bit_identical_to_dense_update(monkeypatch):
+def test_pivot_test_lps_match_scipy():
+    # negative right-hand sides, degenerate rows, equality pairs, infeasible
+    # programs and Beale's cycling example, each against HiGHS
     lps = _pivot_test_lps()
-    ours = [solve_boxed_lp(c, a, b, lb, ub, maximize=mx) for c, a, b, lb, ub, mx in lps]
-    monkeypatch.setattr(qcr.simplex, "_pivot", _dense_pivot)
-    ref = [solve_boxed_lp(c, a, b, lb, ub, maximize=mx) for c, a, b, lb, ub, mx in lps]
-    statuses = {r.status for r in ref}
+    statuses = set()
+    for i, (c, a, b, lb, ub, mx) in enumerate(lps):
+        ours = solve_boxed_lp(c, a, b, lb, ub, maximize=mx)
+        sign = -1.0 if mx else 1.0
+        ref = scipy_linprog(sign * np.asarray(c), A_ub=a, b_ub=b, bounds=list(zip(lb, ub)),
+                            method="highs")
+        statuses.add(ours.status)
+        if ref.status == 2:
+            assert ours.status == "infeasible", f"lp {i}"
+            assert ours.x is None, f"lp {i}"
+            continue
+        assert ref.status == 0
+        assert ours.status == "optimal", f"lp {i}"
+        assert ours.value == pytest.approx(sign * ref.fun, abs=1e-9 * (1.0 + abs(ref.fun))), f"lp {i}"
+        assert np.all(np.asarray(a) @ ours.x <= np.asarray(b) + 1e-7), f"lp {i}"
     assert statuses == {"optimal", "infeasible"}
-    for i, (o, r) in enumerate(zip(ours, ref)):
-        assert o.status == r.status, f"lp {i}"
-        assert o.iterations == r.iterations, f"lp {i}"
-        if r.x is None:
-            assert o.x is None, f"lp {i}"
-        else:
-            assert np.array_equal(o.x, r.x), f"lp {i}"
+
+
+# -- warm starts ----------------------------------------------------------------------
+
+def _close(v, ref):
+    return abs(v - ref) <= 1e-9 * (1.0 + abs(ref))
+
+
+def _remap(basis, keep, m):
+    """Row labels after keeping rows ``keep`` of ``m``; None if a basic row went."""
+    new_row = np.full(m, -1)
+    new_row[keep] = np.arange(len(keep))
+    start = basis.copy()
+    rows = start >= 0
+    start[rows] = new_row[start[rows]]
+    return None if np.any(start[rows] < 0) else start
+
+
+def test_warm_start_cutting_plane_sequences_match_cold_and_scipy():
+    # Kelley-like runs: cut an ellipsoid off at the LP optimum, add random
+    # tangent rows, retire slack rows, and restart from the remapped basis
+    rng = np.random.default_rng(41)
+    warm_calls = calls = 0
+    for seq in range(6):
+        nv = int(rng.integers(3, 9))
+        axes = rng.uniform(0.3, 2.0, size=nv)
+        c = rng.normal(size=nv)
+        lb, ub = np.full(nv, -3.0), np.full(nv, 3.0)
+        a = np.zeros((0, nv))
+        b = np.zeros(0)
+        start = None
+        for step in range(25):
+            ours = solve_boxed_lp(c, a, b, lb, ub, maximize=True, start=start)
+            cold = solve_boxed_lp(c, a, b, lb, ub, maximize=True)
+            ref = scipy_linprog(-c, A_ub=a if b.size else None, b_ub=b if b.size else None,
+                                bounds=list(zip(lb, ub)), method="highs")
+            calls += 1
+            warm_calls += ours.warm
+            assert ref.status == 0 and ours.status == cold.status == "optimal"
+            assert _close(ours.value, cold.value), (seq, step)
+            assert _close(ours.value, -ref.fun), (seq, step)
+            if b.size:
+                assert np.max(a @ ours.x - b) <= 1e-7
+            # the deepest cut at the optimum, plus random tangent rows
+            x = ours.x
+            dirs = [x / axes**2] + [rng.normal(size=nv) for _ in range(int(rng.integers(0, 10)))]
+            for g in dirs:
+                # the supporting plane of sum (x_i / axes_i)^2 <= 1 with normal g
+                t = np.sqrt(np.sum((axes * g) ** 2))
+                a = np.vstack([a, g])
+                b = np.append(b, t)
+            start = ours.basis
+            if step % 3 == 2:
+                # retire up to half the rows that are slack at the optimum
+                stale = np.flatnonzero(b - a @ x > 1e-6)
+                drop = rng.permutation(stale)[: stale.size // 2]
+                keep = np.setdiff1d(np.arange(len(b)), drop)
+                start = _remap(start, keep, len(b))
+                a, b = a[keep], b[keep]
+    assert warm_calls >= 0.9 * (calls - 6)
+
+
+def test_invalid_warm_starts_fall_back_to_the_box():
+    rng = np.random.default_rng(8)
+    nv, mc = 5, 12
+    c = rng.normal(size=nv)
+    a = rng.normal(size=(mc, nv))
+    b = rng.uniform(0.2, 1.5, size=mc)
+    lb, ub = np.full(nv, -2.0), np.full(nv, 2.0)
+    cold = solve_boxed_lp(c, a, b, lb, ub, maximize=True)
+    ref = scipy_linprog(-c, A_ub=a, b_ub=b, bounds=list(zip(lb, ub)), method="highs")
+    assert _close(cold.value, -ref.fun)
+    assert not cold.warm
+    again = solve_boxed_lp(c, a, b, lb, ub, maximize=True, start=cold.basis)
+    assert again.warm and again.iterations == 0 and _close(again.value, cold.value)
+    # the bound columns that the objective does not favour: their basic
+    # solution is -|c|, so the rebuilt right-hand side is negative
+    wrong_side = -1 - np.arange(nv) - np.where(c >= 0.0, nv, 0)
+    bad_starts = {
+        "wrong length": cold.basis[:-1],
+        "row out of range": np.append(cold.basis[:-1], mc),
+        "bound code out of range": np.append(cold.basis[:-1], -2 * nv - 1),
+        "singular": np.full(nv, -1),
+        "negative right-hand side": wrong_side,
+    }
+    for name, start in bad_starts.items():
+        res = solve_boxed_lp(c, a, b, lb, ub, maximize=True, start=start)
+        assert res.status == "optimal", name
+        assert not res.warm, name
+        assert _close(res.value, cold.value), name
+        assert np.max(a @ res.x - b) <= 1e-7, name
+
+
+def test_rows_added_until_infeasible_are_reported_infeasible():
+    rng = np.random.default_rng(5)
+    nv = 4
+    c = rng.normal(size=nv)
+    lb, ub = np.full(nv, -5.0), np.full(nv, 5.0)
+    a = np.zeros((0, nv))
+    b = np.zeros(0)
+    start = None
+    for step in range(200):
+        # half-spaces g @ x <= -0.5 for unit g: their intersection empties out
+        g = rng.normal(size=(2, nv))
+        a = np.vstack([a, g / np.linalg.norm(g, axis=1, keepdims=True)])
+        b = np.append(b, [-0.5, -0.5])
+        ours = solve_boxed_lp(c, a, b, lb, ub, maximize=True, start=start)
+        ref = scipy_linprog(-c, A_ub=a, b_ub=b, bounds=list(zip(lb, ub)), method="highs")
+        if ref.status == 2:
+            assert ours.status == "infeasible" and ours.x is None and ours.basis is None
+            assert start is not None  # reached from a warm start
+            return
+        assert ours.status == "optimal" and _close(ours.value, -ref.fun), step
+        start = ours.basis
+    pytest.fail("the rows never made the program infeasible")
