@@ -223,6 +223,7 @@ def cmd_dual(args) -> int:
         "n_cuts": len(res.cuts),
         "feasibility_residual": res.feasibility,
         "solver_status": res.status,
+        "certified": res.certified,
         "dual_a": matrix_to_lists(res.dual.a),
         "dual_s": complex_matrix_to_lists(res.dual.s),
     }
@@ -232,6 +233,7 @@ def cmd_dual(args) -> int:
         f"rounds / cuts       : {res.rounds} / {len(res.cuts)}",
         f"feasibility residual: {res.feasibility:.3e}",
         f"status              : {res.status}",
+        f"certified           : {'yes' if res.certified else 'no'}",
     ]
     if args.certify:
         ran = is_random_model(model)

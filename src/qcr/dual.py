@@ -9,16 +9,24 @@ for every tangent coordinate vector xi. The semi-infinite PSD constraint
 is enforced through scalar cuts v^dag R(xi) v >= 0, each linear in
 (a, S); every round solves the relaxed LP with the embedded dense simplex,
 restarted from the previous round's basis, and a separation oracle
-supplies new violated cuts. For a fixed unit
-witness v the cut is a convex quadratic in xi with closed-form minimizer
-xi*(v), so the oracle searches the compact witness sphere: it maps sampled
-witnesses to xi*(v) and polishes the lowest points by alternating descent.
+supplies new violated cuts. For a fixed unit witness v the cut is a convex
+quadratic in xi with closed-form minimizer xi*(v), so the oracle searches
+the compact witness sphere.
 
-The oracle is heuristic, and so is the final feasibility restoration: the
-last point is shifted along the identity until a boosted sweep finds no
-violation (a sweep can miss a narrow one), and the reported optimum is
-the objective of that shifted point. Together with the monotone LP
-relaxation value it brackets the true optimum to within roughly
+On qubits (d = 2) the search is exact: with r the Bloch vector of v, the
+minimized cut is a ratio of a quadratic and an affine function of r, which
+Dinkelbach's method minimizes over the unit sphere of R^3 through a few
+trust-region subproblems, each solved exactly. The reported separation
+minimum is a certified lower bound, so the final feasibility restoration
+is one exact shift and the reported optimum is a certified lower bound.
+
+For d >= 3 the oracle is heuristic: it maps sampled witnesses to xi*(v)
+and polishes the lowest points by alternating descent; the boosted sweeps
+of the final restoration add a pool of structured witnesses (eigenvectors
+of rho and of S, and the witnesses of the live cuts). The restoration
+shifts the last point along the identity until a boosted sweep finds no
+violation, which a sweep can still miss. Together with the monotone LP
+relaxation value the optimum brackets the true optimum to within roughly
 feas_tol * d.
 """
 
@@ -32,7 +40,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .measurement import optimal_weight_operator, require_weight_matrix
-from .model import StatisticalModel, build_model
+from .model import PAULI_1, PAULI_2, PAULI_3, StatisticalModel, build_model
 from .randomness import is_random_model
 from .simplex import solve_boxed_lp
 
@@ -40,6 +48,8 @@ log = logging.getLogger("qcr.dual")
 
 MAX_CUTS_PER_ROUND = 10
 RESTORE_TOL = 1e-12
+QUBIT_COVER = 128
+PAULIS = np.stack([PAULI_1, PAULI_2, PAULI_3])
 
 
 @dataclass(frozen=True)
@@ -109,6 +119,7 @@ class DualResult:
     lp_values: list[float]
     feasibility: float
     feasible_points: list[tuple[float, DualPoint]]
+    certified: bool = False
 
 
 def residual(model: StatisticalModel, g, dual: DualPoint, xi) -> np.ndarray:
@@ -144,6 +155,73 @@ def _lam_min_batch(mats: np.ndarray) -> np.ndarray:
         half = 0.5 * (h11 - h22)
         return 0.5 * (h11 + h22) - np.sqrt(half * half + od.real**2 + od.imag**2)
     return np.linalg.eigvalsh(mats)[:, 0]
+
+
+def _pauli_coords(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Traces and Pauli coordinates tr(X sigma_j) of a stack of 2 x 2 Hermitian matrices."""
+    return (np.trace(mats, axis1=-2, axis2=-1).real,
+            np.einsum("...ij,kji->...k", mats, PAULIS).real)
+
+
+def _bloch_spinors(r: np.ndarray) -> np.ndarray:
+    """Unit spinors, one per row, with the given unit Bloch vectors."""
+    theta = np.arctan2(np.hypot(r[:, 0], r[:, 1]), r[:, 2])
+    phi = np.arctan2(r[:, 1], r[:, 0])
+    return np.stack([np.cos(theta / 2.0).astype(complex),
+                     np.sin(theta / 2.0) * np.exp(1j * phi)], axis=1)
+
+
+def _sphere_min(w: np.ndarray, q: np.ndarray, g: np.ndarray,
+                c: float) -> tuple[np.ndarray, float]:
+    """Minimize r^T A r + 2 g^T r + c over the unit sphere, A = q diag(w) q^T (w ascending).
+
+    Returns the minimizer and the Lagrangian dual value at the computed
+    multiplier mu, c - mu - g^T (A + mu I)^-1 g, which bounds the minimum
+    from below whatever the rounding in r (Moré & Sorensen 1983). The
+    multiplier is parametrized as mu = t - w[0], t >= 0, so that the
+    secular equation sum (h_i / (gap_i + t))^2 = 1 loses no digits to
+    cancellation when g is nearly orthogonal to the lowest eigenvector.
+    """
+    h = q.T @ g
+    gap = w - w[0]
+    hnorm = float(np.linalg.norm(h))
+    tiny = 8.0 * np.finfo(float).eps * max(hnorm, abs(w[0]), abs(w[-1]), 1e-300)
+    y = np.zeros(3)
+    pos = gap > 0.0
+    y[pos] = -h[pos] / gap[pos]
+    if np.all(np.abs(h[~pos]) <= tiny) and y @ y < 1.0:
+        # hard case: g (nearly) orthogonal to the lowest eigenspace, mu = -w[0];
+        # the remaining norm goes along the lowest eigenvector
+        y[0] = math.copysign(math.sqrt(1.0 - y @ y), -h[0])
+        t = float(np.linalg.norm(h[~pos]))
+    else:
+        # Newton on 1/|y(t)| - 1, increasing in t, safeguarded by the bracket
+        # |h_low| <= t* <= |h| (and t* >= |h| - gap_max)
+        lo = max(float(np.linalg.norm(h[~pos])), hnorm - gap[-1], 0.0)
+        hi = hnorm
+        t = hi
+        for _ in range(100):
+            den = gap + t
+            y = -h / den
+            phi = float(y @ y)
+            psi = phi ** -0.5 - 1.0
+            if abs(psi) <= 4.0 * np.finfo(float).eps:
+                break
+            if psi < 0.0:
+                lo = t
+            else:
+                hi = t
+            t_new = t - psi / (phi ** -1.5 * float(np.sum(y * y / den)))
+            if not lo < t_new < hi:
+                t_new = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
+            if t_new == t or hi - lo <= np.finfo(float).eps * hi:
+                break
+            t = t_new
+        y = -h / (gap + t)
+    r = q @ y
+    r /= np.linalg.norm(r)
+    terms = np.divide(h * h, gap + t, out=np.zeros(3), where=h != 0.0)
+    return r, float(c + w[0] - t - np.sum(terms))
 
 
 @dataclass
@@ -227,6 +305,18 @@ class _Engine:
         cvec[self.nB: self.nB + d] = 1.0
         self.cvec = cvec
 
+        self.rho_vecs = np.linalg.eigh(self.rho)[1]
+        if d == 2:
+            # Bloch data of the exact qubit oracle, and a Fibonacci cover of
+            # the Bloch sphere whose jumps seed it and add cuts
+            self.rho_bloch = _pauli_coords(self.rho)[1]
+            self.ops_tr, self.ops_bloch = _pauli_coords(self.ops)
+            i = np.arange(QUBIT_COVER)
+            z = 1.0 - 2.0 * (i + 0.5) / QUBIT_COVER
+            phi = i * (np.pi * (3.0 - math.sqrt(5.0)))
+            rxy = np.sqrt(1.0 - z * z)
+            self.cover = _bloch_spinors(np.stack([rxy * np.cos(phi), rxy * np.sin(phi), z], axis=1))
+
     # -- LP pieces ----------------------------------------------------------
 
     def unpack(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,20 +379,9 @@ class _Engine:
         return best_pts, best
 
     def _witness_sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Unit vectors covering the witness sphere; deterministic cover for d = 2."""
-        blocks = []
-        if self.d == 2:
-            # Fibonacci cover of the Bloch sphere
-            i = np.arange(count)
-            z = 1.0 - 2.0 * (i + 0.5) / count
-            theta = np.arccos(np.clip(z, -1.0, 1.0))
-            phi = i * (np.pi * (3.0 - math.sqrt(5.0)))
-            blocks.append(np.stack(
-                [np.cos(theta / 2.0).astype(complex),
-                 np.sin(theta / 2.0) * np.exp(1j * phi)], axis=1))
+        """Random unit vectors covering the witness sphere."""
         vs = rng.normal(size=(count, self.d)) + 1j * rng.normal(size=(count, self.d))
-        blocks.append(vs / np.linalg.norm(vs, axis=1, keepdims=True))
-        return np.vstack(blocks)
+        return vs / np.linalg.norm(vs, axis=1, keepdims=True)
 
     def _witness_jumps(self, b, vs: np.ndarray) -> np.ndarray:
         """Exact scalar-cut minimizers xi*(v) for a batch of witness vectors.
@@ -315,23 +394,75 @@ class _Engine:
         wk = np.einsum("qi,kij,qj->qk", vs.conj(), self.ops, vs).real
         return ((wk @ b) @ self.g_inv) / (2.0 * rv[:, None])
 
-    def separate(self, b, s, rng: np.random.Generator, config: SolverConfig,
-                 boost: int = 1) -> _Separation:
-        """Search the witness sphere: sampled witnesses, their jumps, then descent."""
-        vs = self._witness_sample(rng, 128 * boost)
-        ys = np.vstack([self._witness_jumps(b, vs), np.zeros((1, self.m))])
-        vals = self.lam_min(b, s, ys)
-        pts, pvals = self._descend(b, s, ys[np.argsort(vals)[: 24 * boost]])
+    def _qubit_min(self, b, s, lam: float) -> tuple[np.ndarray, float, float]:
+        """Exact minimum over the Bloch sphere of the minimized scalar cut (d = 2).
 
-        all_pts = np.vstack([ys, pts])
-        all_vals = np.concatenate([vals, pvals])
-        imin = int(np.argmin(all_vals))
-        min_value = float(all_vals[imin])
+        For a witness with Bloch vector r the cut minimized over xi is
+        f(r) = -(a0 + a.r)/2 - (k0 + K r)^T M (k0 + K r) / (8 (1 + p.r)) with
+        (a0, a), p and (k0, K) the traces and Pauli coordinates of S, rho and
+        the tangents, and M = b G^-1 b^T; so f = N / D with N quadratic and
+        D = 1 + p.r >= 1 - |p| > 0. Dinkelbach's method, started from an
+        upper bound lam on min f, minimizes N - lam D over the sphere exactly
+        and sets lam = f(r) until f stops decreasing. Returns the best r, its
+        value, and the certified lower bound lam + min(F, 0) / (1 - |p|), F
+        the trust-region dual value of the last step.
+        """
+        a0, a = _pauli_coords(s)
+        p, k0, kk = self.rho_bloch, self.ops_tr, self.ops_bloch
+        mk = b @ self.g_inv @ b.T
+        quad = -0.25 * (np.outer(a, p) + np.outer(p, a)) - 0.125 * (kk.T @ mk @ kk)
+        lin = -0.5 * (a0 * p + a) - 0.25 * (kk.T @ (mk @ k0))
+        const = -0.5 * a0 - 0.125 * float(k0 @ mk @ k0)
+        w, q = np.linalg.eigh(quad)
+        floor = 1.0 - float(np.linalg.norm(p))
+        r_best, f_best = None, math.inf
+        for _ in range(32):
+            r, f_dual = _sphere_min(w, q, 0.5 * (lin - lam * p), const - lam)
+            bound = lam + min(f_dual, 0.0) / floor
+            val = float((r @ quad @ r + lin @ r + const) / (1.0 + p @ r))
+            if val < f_best:
+                r_best, f_best = r, val
+            if not val < lam:
+                break
+            lam = val
+        return r_best, f_best, bound
+
+    def separate(self, b, s, rng: np.random.Generator, config: SolverConfig,
+                 boost: int = 1, live: np.ndarray | None = None) -> _Separation:
+        """Search the witness sphere for the most negative residual eigenvalue.
+
+        d = 2: the exact Bloch-sphere minimum (a certified lower bound) and
+        its minimizer, with the jumps of a fixed cover as further cut
+        candidates; ``rng``, ``boost`` and ``live`` are not used.
+        d >= 3: sampled witnesses, their jumps and xi = 0, then descent from
+        the lowest points. A boosted sweep adds the eigenvectors of rho and
+        of S and the ``live`` cut witnesses to the sample.
+        """
+        if self.d == 2:
+            ys = self._witness_jumps(b, self.cover)
+            vals = self.lam_min(b, s, ys)
+            r, f_best, min_value = self._qubit_min(b, s, float(np.min(vals)))
+            best = self._witness_jumps(b, _bloch_spinors(r[None]))
+            all_pts = np.vstack([best, ys])
+            all_vals = np.concatenate([[f_best], vals])
+        else:
+            vs = self._witness_sample(rng, 128 * boost)
+            if boost > 1:
+                pool = [vs, self.rho_vecs.T, np.linalg.eigh(s)[1].T]
+                vs = np.vstack(pool if live is None else pool + [live])
+            ys = np.vstack([self._witness_jumps(b, vs), np.zeros((1, self.m))])
+            vals = self.lam_min(b, s, ys)
+            pts, pvals = self._descend(b, s, ys[np.argsort(vals)[: 24 * boost]])
+            all_pts = np.vstack([ys, pts])
+            all_vals = np.concatenate([vals, pvals])
+            imin = int(np.argmin(all_vals))
+            min_value = float(all_vals[imin])
+            best = all_pts[imin: imin + 1]
 
         bad = np.argsort(all_vals)
         bad = bad[all_vals[bad] < -config.feas_tol]
         violated = list(_spread_select(all_pts, bad[:2048], MAX_CUTS_PER_ROUND, 0.01))
-        return _Separation(min_value, all_pts[imin].copy(), violated)
+        return _Separation(min_value, best[0].copy(), violated)
 
     # -- main loop ----------------------------------------------------------
 
@@ -386,13 +517,12 @@ class _Engine:
                 v_stack = v_stack[keep]
             return keep
 
-        rho_vecs = np.linalg.eigh(self.rho)[1]
         seeds = [np.zeros(self.m)]
         for i in range(self.m):
             seeds.extend([self.basis[i], -self.basis[i]])
         for y in seeds:
             for i in range(self.d):
-                register(np.asarray(y, dtype=float), rho_vecs[:, i])
+                register(np.asarray(y, dtype=float), self.rho_vecs[:, i])
 
         lp_values: list[float] = []
         feasible_points: list[tuple[float, np.ndarray, np.ndarray]] = []
@@ -461,18 +591,21 @@ class _Engine:
             else:
                 stuck = 0
 
-        # heuristic feasibility restoration: shift S along the identity until a
-        # boosted sweep finds no violation beyond RESTORE_TOL
+        # feasibility restoration: shift S along the identity until a boosted
+        # sweep finds no violation beyond RESTORE_TOL. On qubits the sweep's
+        # minimum is a certified lower bound, so one shift suffices and
+        # certifies the result
         feasibility = 0.0
         for _ in range(5):
-            sep = self.separate(b, s, rng, config, boost=3)
+            sep = self.separate(b, s, rng, config, boost=3, live=v_stack)
             feasibility = sep.min_value
             if sep.min_value >= -RESTORE_TOL:
                 break
             s = s + (sep.min_value - RESTORE_TOL) * np.eye(self.d)
         optimum = float(self.cvec[: self.nB] @ b.ravel()) + float(np.trace(s).real)
+        certified = self.d == 2 and feasibility >= -RESTORE_TOL
         return _EngineResult(optimum, b, s, cuts, rounds, status, lp_values,
-                             feasibility, feasible_points)
+                             feasibility, feasible_points, certified)
 
 
 @dataclass
@@ -486,16 +619,19 @@ class _EngineResult:
     lp_values: list[float]
     feasibility: float
     feasible_points: list[tuple[float, np.ndarray, np.ndarray]]
+    certified: bool
 
 
 def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -> DualResult:
     """Cutting-plane solution of the dual program for a PD weight matrix.
 
     The returned ``optimum`` is the objective of the final dual point after
-    feasibility restoration: a lower bound on the deviation of every locally
-    unbiased measurement as far as the restoration sweep finds no violation
-    beyond its tolerance (``feasibility``). ``lp_value`` is the final
-    relaxation value bounding the true optimum from above.
+    feasibility restoration, a lower bound on the deviation of every locally
+    unbiased measurement. On qubits the restoration uses the exact oracle,
+    the bound is certified and ``certified`` is True. For d >= 3 it holds
+    as far as the heuristic restoration sweep finds no violation beyond its
+    tolerance (``feasibility``), and ``certified`` is False. ``lp_value`` is
+    the final relaxation value bounding the true optimum from above.
     """
     cfg = config or SolverConfig()
     gm = require_weight_matrix(g, model.n)
@@ -511,6 +647,7 @@ def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -
         lp_values=raw.lp_values,
         feasibility=raw.feasibility,
         feasible_points=[(val, DualPoint(bb, ss)) for val, bb, ss in raw.feasible_points],
+        certified=raw.certified,
     )
 
 
@@ -518,11 +655,14 @@ def separation_oracle(model: StatisticalModel, g, dual: DualPoint,
                       config: SolverConfig | None = None) -> SeparationResult:
     """Witness-sphere search for the minimum of the residual's smallest eigenvalue.
 
-    Every sampled unit witness v is mapped to the tangent point xi*(v) that
-    minimizes its scalar cut, the lowest of those points are polished by
-    alternating descent, and the most violating point found is returned
-    with its scalar cut. A nonnegative ``min_value`` is evidence, not proof,
-    of feasibility; callers needing certainty should rely on the
+    On qubits the minimum is exact: ``min_value`` is a certified lower bound
+    and the witness is the computed minimizer with its scalar cut. For
+    d >= 3 every sampled or pooled unit witness v (eigenvectors of rho and
+    of S) is mapped to the tangent point xi*(v) that minimizes its scalar
+    cut, the lowest of those points are polished by alternating descent,
+    and the most violating point found is returned with its scalar cut;
+    there a nonnegative ``min_value`` is evidence, not proof, of
+    feasibility, and callers needing certainty should rely on the
     certificate-gap identities.
     """
     cfg = config or SolverConfig()

@@ -126,6 +126,7 @@ def test_dual_certify(capsys):
                        "--tol", "1e-4", "--seed", "0", "--certify")
     assert code == 0
     assert "certificate spur" in out
+    assert "certified           : yes" in out
 
 
 def test_json_report_round_trips(capsys):
@@ -152,6 +153,7 @@ def test_json_dual_and_checker_round_trip(capsys):
     parsed = json.loads(out)
     assert dumps_report(parsed) == out
     assert parsed["results"]["certificate"]["applicable"] is True
+    assert parsed["results"]["certified"] is True
     code, out, _ = run(capsys, "check-random", "--model", "qubit-full", "--alpha", "0.3", "--json")
     assert code == 0
     parsed = json.loads(out)
