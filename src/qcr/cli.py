@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -143,32 +144,47 @@ def _model_summary(model: StatisticalModel) -> dict:
     }
 
 
-def _emit(args, report: dict, text_lines: list[str]) -> None:
-    if args.json:
-        sys.stdout.write(dumps_report(report))
-    else:
-        for line in text_lines:
-            print(line)
-
-
 def _fmt_matrix(m: np.ndarray) -> str:
     return np.array2string(np.asarray(m), precision=10, suppress_small=True)
 
 
-def cmd_info(args) -> int:
+@dataclass
+class Outcome:
+    """What one command computed: report results, text lines, and how it ended."""
+
+    results: dict
+    text: list[str]
+    status: str = "ok"
+    code: int = EXIT_OK
+    seed: int | None = None  # in the report only for commands that use one
+
+
+def run_command(args) -> int:
+    """Resolve the model, run ``args.func``, and emit its report as text or JSON."""
     start = time.perf_counter()
+    if args.seed is not None and args.seed < 0:
+        raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     model = _resolve_model(args)
-    report = {
-        "command": "info",
-        "model": _model_summary(model),
-        "results": {
-            "fisher": matrix_to_lists(model.fisher),
-            "fisher_inverse": matrix_to_lists(model.fisher_inverse),
-        },
-        "status": "ok",
-        "wall_time_s": time.perf_counter() - start,
+    out = args.func(args, model)
+    report = {"command": args.command, "model": _model_summary(model)}
+    if out.seed is not None:
+        report["seed"] = out.seed
+    report.update(results=out.results, status=out.status,
+                  wall_time_s=time.perf_counter() - start)
+    if args.json:
+        sys.stdout.write(dumps_report(report))
+    else:
+        for line in out.text:
+            print(line)
+    return out.code
+
+
+def cmd_info(args, model: StatisticalModel) -> Outcome:
+    results = {
+        "fisher": matrix_to_lists(model.fisher),
+        "fisher_inverse": matrix_to_lists(model.fisher_inverse),
     }
-    _emit(args, report, [
+    return Outcome(results, [
         f"dim = {model.dim}, n = {model.n}",
         f"rho eigenvalues: {np.linalg.eigvalsh(model.rho.matrix)}",
         "fisher matrix J:",
@@ -176,37 +192,21 @@ def cmd_info(args) -> int:
         "inverse J:",
         _fmt_matrix(model.fisher_inverse),
     ])
-    return EXIT_OK
 
 
-def cmd_bound(args) -> int:
-    start = time.perf_counter()
-    model = _resolve_model(args)
+def cmd_bound(args, model: StatisticalModel) -> Outcome:
     g = _resolve_weight(args, model)
     bound = optimal_random_bound(model, g)
     classical = float(np.trace(g @ model.fisher_inverse))
-    report = {
-        "command": "bound",
-        "model": _model_summary(model),
-        "results": {
-            "random_bound": bound,
-            "classical_bound": classical,
-            "gap": bound - classical,
-        },
-        "status": "ok",
-        "wall_time_s": time.perf_counter() - start,
-    }
-    _emit(args, report, [
+    results = {"random_bound": bound, "classical_bound": classical, "gap": bound - classical}
+    return Outcome(results, [
         f"random-measurement bound : {bound:.12g}",
         f"classical reference      : {classical:.12g}",
         f"gap                      : {bound - classical:.12g}",
     ])
-    return EXIT_OK
 
 
-def cmd_dual(args) -> int:
-    start = time.perf_counter()
-    model = _resolve_model(args)
+def cmd_dual(args, model: StatisticalModel) -> Outcome:
     g = _resolve_weight(args, model)
     kwargs = {"seed": args.seed if args.seed is not None else 0}
     if args.tol is not None:
@@ -250,46 +250,28 @@ def cmd_dual(args) -> int:
         else:
             results["certificate"] = {"applicable": False, "witness_score": ran.score}
             text.append("certificate         : not applicable (randomness condition fails)")
-    report = {
-        "command": "dual",
-        "model": _model_summary(model),
-        "seed": kwargs["seed"],
-        "results": results,
-        "status": "ok" if res.status == "converged" else "unconverged",
-        "wall_time_s": time.perf_counter() - start,
-    }
-    _emit(args, report, text)
-    return EXIT_OK if res.status == "converged" else EXIT_UNCONVERGED
+    if res.status == "converged":
+        return Outcome(results, text, seed=config.seed)
+    return Outcome(results, text, "unconverged", EXIT_UNCONVERGED, config.seed)
 
 
-def cmd_check_random(args) -> int:
-    start = time.perf_counter()
-    model = _resolve_model(args)
+def cmd_check_random(args, model: StatisticalModel) -> Outcome:
     rep = is_random_model(model)
     results = {"verdict": rep.verdict, "score": rep.score}
-    if rep.verdict:
-        results["constant"] = complex_matrix_to_lists(rep.constant)
-    else:
-        results["witness"] = list(rep.witness)
-    report = {
-        "command": "check-random",
-        "model": _model_summary(model),
-        "results": results,
-        "status": "true" if rep.verdict else "false",
-        "wall_time_s": time.perf_counter() - start,
-    }
     text = [f"random model: {rep.verdict} (score {rep.score:.3e})"]
     if rep.verdict:
-        text.append("constant block C:")
-        text.append(_fmt_matrix(rep.constant))
-    else:
-        text.append(f"witness block: {rep.witness}")
-    _emit(args, report, text)
-    return EXIT_OK if rep.verdict else EXIT_FALSE
+        results["constant"] = complex_matrix_to_lists(rep.constant)
+        text += ["constant block C:", _fmt_matrix(rep.constant)]
+        return Outcome(results, text, "true")
+    results["witness"] = list(rep.witness)
+    text.append(f"witness block: {rep.witness}")
+    return Outcome(results, text, "false", EXIT_FALSE)
 
 
-def _resolve_seed(args, command: str) -> int:
-    # reproducible reports: JSON mode refuses to pick a seed silently
+def _sampling_args(args, command: str) -> int:
+    """Check --samples and return the seed; JSON reports refuse to pick a seed silently."""
+    if args.samples is None or args.samples < 1:
+        raise ValidationError(f"{command} needs --samples >= 1")
     if args.seed is None:
         if args.json:
             raise ValidationError(f"{command} needs an explicit --seed with --json")
@@ -297,13 +279,9 @@ def _resolve_seed(args, command: str) -> int:
     return args.seed
 
 
-def cmd_limitset(args) -> int:
-    start = time.perf_counter()
-    model = _resolve_model(args)
-    if args.samples is None or args.samples < 1:
-        raise ValidationError("limitset needs --samples >= 1")
-    args.seed = _resolve_seed(args, "limitset")
-    samples = sample_frontier(model, args.samples, args.seed)
+def cmd_limitset(args, model: StatisticalModel) -> Outcome:
+    seed = _sampling_args(args, "limitset")
+    samples = sample_frontier(model, args.samples, seed)
     n = model.n
     header = [f"V{i}{j}" for i in range(n) for j in range(n)] + ["min_eig_vs_inverse_fisher"]
     if n == 2:
@@ -331,37 +309,23 @@ def cmd_limitset(args) -> int:
         "csv": args.csv,
         "min_eig_worst": min(min_eigs),
     }
-    if n == 2:
-        results["det_witness_max_error"] = max(abs(d - 1.0) for d in dets)
-    report = {
-        "command": "limitset",
-        "model": _model_summary(model),
-        "seed": args.seed,
-        "results": results,
-        "status": "ok",
-        "wall_time_s": time.perf_counter() - start,
-    }
     text = [
-        f"sampled {args.samples} frontier covariances (seed {args.seed})",
+        f"sampled {args.samples} frontier covariances (seed {seed})",
         f"worst min-eig of V - J^-1: {min(min_eigs):.3e}",
     ]
     if n == 2:
+        results["det_witness_max_error"] = max(abs(d - 1.0) for d in dets)
         text.append(f"max |det witness - 1|: {results['det_witness_max_error']:.3e}")
     if args.csv:
         text.append(f"csv written to {args.csv}")
-    _emit(args, report, text)
-    return EXIT_OK
+    return Outcome(results, text, seed=seed)
 
 
-def cmd_simulate(args) -> int:
-    start = time.perf_counter()
-    model = _resolve_model(args)
+def cmd_simulate(args, model: StatisticalModel) -> Outcome:
     g = _resolve_weight(args, model)
-    if args.samples is None or args.samples < 1:
-        raise ValidationError("simulate needs --samples >= 1")
-    args.seed = _resolve_seed(args, "simulate")
+    seed = _sampling_args(args, "simulate")
     p = optimal_random_measurement(model, g)
-    sim = simulate(model, p, args.samples, args.seed, weight=g)
+    sim = simulate(model, p, args.samples, seed, weight=g)
     theory_cov = covariance(model, p)
     theory_dev = float(np.trace(g @ theory_cov))
     se_mean = np.sqrt(np.diag(sim.cov) / sim.n_samples)
@@ -376,14 +340,6 @@ def cmd_simulate(args) -> int:
         "theory_deviation": theory_dev,
         "wide_uncertainty": bool(sim.n_samples < 100),
     }
-    report = {
-        "command": "simulate",
-        "model": _model_summary(model),
-        "seed": args.seed,
-        "results": results,
-        "status": "ok",
-        "wall_time_s": time.perf_counter() - start,
-    }
     text = [
         f"samples: {sim.n_samples}",
         f"empirical mean    : {np.array2string(sim.mean, precision=6)}",
@@ -393,8 +349,7 @@ def cmd_simulate(args) -> int:
     ]
     if results["wide_uncertainty"]:
         text.append("warning: sample count is tiny, uncertainty is wide")
-    _emit(args, report, text)
-    return EXIT_OK
+    return Outcome(results, text, seed=seed)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -443,7 +398,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return run_command(args)
     except QcrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNCONVERGED if isinstance(exc, NumericError) else EXIT_INPUT

@@ -96,16 +96,41 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.feas_tol <= 0 or self.obj_tol <= 0:
-            raise ValidationError("solver tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.feas_tol, self.obj_tol)):
+            raise ValidationError("solver tolerances must be finite and positive")
         if self.max_rounds < 1:
             raise ValidationError("max_rounds must be at least 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
 class SeparationResult:
     min_value: float
     witness: Cut
+
+
+@dataclass(frozen=True)
+class DualRound:
+    """What one cutting-plane round computed.
+
+    ``lp_value`` is the relaxation value, an upper bound on the optimum;
+    ``sep_min`` the separation minimum at the relaxation's point; and
+    ``shifted_value = lp_value + d * min(0, sep_min)`` the objective of that
+    point shifted along the identity by the separation minimum. The shifted
+    value is a lower bound on the optimum only at d = 2, where ``sep_min`` is
+    certified; for d >= 3 the per-round sweep can miss violations and the
+    shifted value can lie above the optimum. ``rows``, ``pivots`` and
+    ``warm`` describe the LP: its cut rows, its simplex pivots, and whether
+    it restarted from the previous round's basis.
+    """
+
+    lp_value: float
+    sep_min: float
+    shifted_value: float
+    rows: int
+    pivots: int
+    warm: bool
 
 
 @dataclass
@@ -116,10 +141,9 @@ class DualResult:
     rounds: int
     status: str
     lp_value: float
-    lp_values: list[float]
     feasibility: float
-    feasible_points: list[tuple[float, DualPoint]]
-    certified: bool = False
+    certified: bool
+    trace: list[DualRound]
 
 
 def residual(model: StatisticalModel, g, dual: DualPoint, xi) -> np.ndarray:
@@ -466,7 +490,7 @@ class _Engine:
 
     # -- main loop ----------------------------------------------------------
 
-    def solve(self, config: SolverConfig) -> _EngineResult:
+    def solve(self, config: SolverConfig) -> DualResult:
         rng = np.random.default_rng(config.seed)
         rows: list[np.ndarray] = []
         rhss: list[float] = []
@@ -524,29 +548,25 @@ class _Engine:
             for i in range(self.d):
                 register(np.asarray(y, dtype=float), self.rho_vecs[:, i])
 
-        lp_values: list[float] = []
-        feasible_points: list[tuple[float, np.ndarray, np.ndarray]] = []
+        trace: list[DualRound] = []
         prev_lp: float | None = None
         status = "unconverged"
-        rounds = 0
-        stuck = 0
         b = np.zeros((self.n_ops, self.m))
         s = np.zeros((self.d, self.d), dtype=complex)
         start = None  # the last round's basis; appended cut rows leave it valid
-        for rnd in range(config.max_rounds):
-            rounds = rnd + 1
+        for rnd in range(1, config.max_rounds + 1):
             lp = solve_boxed_lp(self.cvec, np.vstack(rows), np.array(rhss),
                                 self.lb, self.ub, maximize=True, start=start)
             if lp.status != "optimal":
                 raise NumericError(f"cutting-plane relaxation came back {lp.status}")
             b, s = self.unpack(lp.x)
-            lp_values.append(lp.value)
             sep = self.separate(b, s, rng, config)
-            shift = min(0.0, sep.min_value)
-            feasible_points.append((lp.value + shift * self.d, b, s + shift * np.eye(self.d)))
             # every cut is one LP row
-            log.debug("round %d: lp=%.9g sep=%.3e rows=%d pivots=%d warm=%s", rounds,
-                      lp.value, sep.min_value, len(rhss), lp.iterations, lp.warm)
+            rec = DualRound(lp.value, sep.min_value, lp.value + min(0.0, sep.min_value) * self.d,
+                            len(rhss), lp.iterations, lp.warm)
+            trace.append(rec)
+            log.debug("round %d: lp=%.9g sep=%.3e rows=%d pivots=%d warm=%s", rnd,
+                      rec.lp_value, rec.sep_min, rec.rows, rec.pivots, rec.warm)
             obj_static = prev_lp is not None and abs(prev_lp - lp.value) < config.obj_tol
             prev_lp = lp.value
             start = lp.basis
@@ -567,29 +587,15 @@ class _Engine:
                 start[basic] = new_row[start[basic]]
                 if np.any(start[basic] < 0):
                     start = None
-            added = 0
+            added = False
             for y in sep.violated:
-                mat = self.residual_mat(b, s, y)
-                w, vecs = np.linalg.eigh(mat)
-                hit = False
+                w, vecs = np.linalg.eigh(self.residual_mat(b, s, y))
                 for i in range(self.d):
                     if i > 0 and w[i] >= -config.feas_tol:
                         break
-                    if register(y, vecs[:, i]):
-                        hit = True
-                if hit:
-                    added += 1
-            if added == 0:
-                stuck += 1
-                jitter = sep.best + rng.normal(scale=1e-6 * (1.0 + np.linalg.norm(sep.best)),
-                                               size=self.m)
-                mat = self.residual_mat(b, s, jitter)
-                v = np.linalg.eigh(mat)[1][:, 0]
-                register(jitter, v)
-                if stuck >= 5:
-                    break
-            else:
-                stuck = 0
+                    added = register(y, vecs[:, i]) or added
+            if not added:
+                break  # every violated cut is in the LP already: the relaxation cannot move
 
         # feasibility restoration: shift S along the identity until a boosted
         # sweep finds no violation beyond RESTORE_TOL. On qubits the sweep's
@@ -604,22 +610,8 @@ class _Engine:
             s = s + (sep.min_value - RESTORE_TOL) * np.eye(self.d)
         optimum = float(self.cvec[: self.nB] @ b.ravel()) + float(np.trace(s).real)
         certified = self.d == 2 and feasibility >= -RESTORE_TOL
-        return _EngineResult(optimum, b, s, cuts, rounds, status, lp_values,
-                             feasibility, feasible_points, certified)
-
-
-@dataclass
-class _EngineResult:
-    optimum: float
-    b: np.ndarray
-    s: np.ndarray
-    cuts: list[Cut]
-    rounds: int
-    status: str
-    lp_values: list[float]
-    feasibility: float
-    feasible_points: list[tuple[float, np.ndarray, np.ndarray]]
-    certified: bool
+        return DualResult(optimum, DualPoint(b, s), cuts, len(trace), status,
+                          trace[-1].lp_value, feasibility, certified, trace)
 
 
 def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -> DualResult:
@@ -632,23 +624,15 @@ def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -
     as far as the heuristic restoration sweep finds no violation beyond its
     tolerance (``feasibility``), and ``certified`` is False. ``lp_value`` is
     the final relaxation value bounding the true optimum from above.
+
+    ``status`` is ``"converged"`` when a round's sweep found no violation
+    and the relaxation value moved less than ``obj_tol``, and
+    ``"unconverged"`` when the round cap was reached or a round added no
+    new cut. ``trace`` holds one :class:`DualRound` per round.
     """
     cfg = config or SolverConfig()
     gm = require_weight_matrix(g, model.n)
-    engine = _Engine(model, gm, np.eye(model.n))
-    raw = engine.solve(cfg)
-    return DualResult(
-        optimum=raw.optimum,
-        dual=DualPoint(raw.b, raw.s),
-        cuts=raw.cuts,
-        rounds=raw.rounds,
-        status=raw.status,
-        lp_value=raw.lp_values[-1] if raw.lp_values else float("nan"),
-        lp_values=raw.lp_values,
-        feasibility=raw.feasibility,
-        feasible_points=[(val, DualPoint(bb, ss)) for val, bb, ss in raw.feasible_points],
-        certified=raw.certified,
-    )
+    return _Engine(model, gm, np.eye(model.n)).solve(cfg)
 
 
 def separation_oracle(model: StatisticalModel, g, dual: DualPoint,
@@ -736,6 +720,6 @@ def dual_submodel_inequality(model: StatisticalModel, subspace_indices, g_sub,
     proj = np.linalg.solve(emb.T @ j @ emb, emb.T @ j)  # (k, n) Fisher-orthogonal projection
     engine = _Engine(model, g_sub, proj.T)
     raw = engine.solve(cfg)
-    full_dual = DualPoint(raw.b @ proj, raw.s)
+    full_dual = DualPoint(raw.dual.a @ proj, raw.dual.s)
     holds = res_sub.optimum <= raw.optimum + tol
     return SubmodelResult(res_sub.optimum, raw.optimum, holds, res_sub, full_dual, raw.status)

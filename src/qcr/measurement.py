@@ -22,6 +22,7 @@ WEIGHT_SUM_TOL = 1e-12
 WEIGHT_PD_TOL = 1e-10
 WEIGHT_SYM_TOL = 1e-12
 UNBIASED_TOL = 1e-8
+SIMULATE_BLOCK = 1 << 16  # samples drawn per block: memory stays flat in the sample count
 
 
 @dataclass(frozen=True)
@@ -354,24 +355,22 @@ class SimulationResult:
     mean: np.ndarray
     cov: np.ndarray
     n_samples: int
-    chunks: int
     quad_mean: float | None = None
     quad_se: float | None = None
 
 
 def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: int,
-             chunks: int = 1, weight=None) -> SimulationResult:
+             weight=None) -> SimulationResult:
     """Monte Carlo run of a locally unbiased random measurement.
 
     Atoms are drawn from the mixture weights and outcomes from the Born
-    probabilities of each observable's eigenbasis. Results are deterministic
-    given (seed, samples, chunks). When ``weight`` is given, the first two
-    moments of the per-sample quadratic form are accumulated as well.
+    probabilities of each observable's eigenbasis, in blocks of
+    ``SIMULATE_BLOCK`` samples from one generator. Results are deterministic
+    given (seed, samples). When ``weight`` is given, the first two moments
+    of the per-sample quadratic form are accumulated as well.
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
-    if chunks < 1 or chunks > samples:
-        raise ValidationError("chunks must be between 1 and samples")
     rep = is_locally_unbiased(model, p)
     if not rep:
         raise UnbiasednessError("simulate requires a locally unbiased measurement")
@@ -391,17 +390,13 @@ def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: 
         outcome_vals.append(dec.eigenvalues)
         outcome_probs.append(probs / probs.sum())
 
-    bounds = np.linspace(0, samples, chunks + 1).astype(int)
-    seqs = np.random.SeedSequence(seed).spawn(chunks)
+    rng = np.random.default_rng(seed)
     s1 = np.zeros(model.n)
     s2 = np.zeros((model.n, model.n))
     su = 0.0
     suu = 0.0
-    for c in range(chunks):
-        m = int(bounds[c + 1] - bounds[c])
-        if m == 0:
-            continue
-        rng = np.random.default_rng(seqs[c])
+    for done in range(0, samples, SIMULATE_BLOCK):
+        m = min(SIMULATE_BLOCK, samples - done)
         idx = rng.choice(k, size=m, p=weights)
         vals = np.empty(m)
         for j in range(k):
@@ -425,4 +420,4 @@ def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: 
         quad_mean = su / samples
         quad_var = max(suu / samples - quad_mean**2, 0.0)
         quad_se = math.sqrt(quad_var / samples)
-    return SimulationResult(mean, (cov + cov.T) / 2.0, samples, chunks, quad_mean, quad_se)
+    return SimulationResult(mean, (cov + cov.T) / 2.0, samples, quad_mean, quad_se)

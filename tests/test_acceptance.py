@@ -144,7 +144,7 @@ def test_criterion_08_weak_duality_suite():
     for _ in range(1000):
         p = sample_locally_unbiased(m, rng)
         min_dev = min(min_dev, deviation(m, g, p))
-    max_spur = max(val for val, _ in sol.feasible_points)
+    max_spur = max(rec.shifted_value for rec in sol.trace)
     ok = max_spur <= min_dev + 1e-9
     # no sampled measurement beats the closed-form optimum either
     ok = ok and min_dev >= optimal_random_bound(m, g) - 1e-9

@@ -256,6 +256,14 @@ MALFORMED_NUMBERS = [
      {"g": [[1.0, 0.0, 0.0], [0.0, "one", 0.0], [0.0, 0.0, 1.0]]}),
     ("g-ragged", ["bound", "--model", "qubit-full", "--alpha", "0.6"], "g",
      {"g": [[1.0, 0.0, 0.0], [0.0, 1.0], [0.0, 0.0, 1.0]]}),
+    ("tol-nan", ["dual", "--model", "qubit-full", "--alpha", "0.6", "--tol", "nan", "--seed", "0"],
+     None, None),
+    ("tol-inf", ["dual", "--model", "qubit-full", "--alpha", "0.6", "--tol", "inf", "--seed", "0"],
+     None, None),
+    ("seed-negative-dual", ["dual", "--model", "qubit-full", "--alpha", "0.6", "--seed", "-1"],
+     None, None),
+    ("seed-negative-simulate", ["simulate", "--model", "qubit-full", "--alpha", "0.6",
+                                "--samples", "10", "--seed", "-1"], None, None),
 ]
 
 
@@ -272,3 +280,46 @@ def test_malformed_numbers_exit_2(capsys, tmp_path, argv, file_kind, doc):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert out == ""
+
+
+# (extra arguments, seeded report, results keys, text labels) per command
+REPORT_SHAPES = {
+    "info": ([], False, ["fisher", "fisher_inverse"],
+             ["rho eigenvalues", "fisher matrix J", "inverse J"]),
+    "bound": ([], False, ["random_bound", "classical_bound", "gap"],
+              ["random-measurement bound", "classical reference", "gap"]),
+    "dual": (["--tol", "1e-4", "--certify"], True,
+             ["optimum", "lp_value", "rounds", "n_cuts", "feasibility_residual", "solver_status",
+              "certified", "dual_a", "dual_s", "certificate"],
+             ["dual optimum", "lp relaxation value", "rounds / cuts", "feasibility residual",
+              "status", "certified", "certificate spur"]),
+    "check-random": ([], False, ["verdict", "score", "constant"],
+                     ["random model", "constant block C"]),
+    "limitset": (["--samples", "5", "--csv", "CSV"], True,
+                 ["samples", "csv", "min_eig_worst", "det_witness_max_error"],
+                 ["worst min-eig of V - J^-1", "max |det witness - 1|"]),
+    "simulate": (["--samples", "200"], True,
+                 ["samples", "empirical_mean", "mean_standard_errors", "empirical_cov",
+                  "empirical_deviation", "deviation_standard_error", "theory_deviation",
+                  "wide_uncertainty"],
+                 ["samples", "empirical mean", "mean standard err", "empirical tr(G V)",
+                  "theoretical tr(G V)"]),
+}
+
+
+@pytest.mark.parametrize("command", list(REPORT_SHAPES))
+def test_report_shape(capsys, tmp_path, command):
+    extra, seeded, result_keys, labels = REPORT_SHAPES[command]
+    extra = [str(tmp_path / "x.csv") if a == "CSV" else a for a in extra]
+    argv = [command, "--model", "qubit-equatorial", "--alpha", "0.3", "--seed", "3", *extra]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0
+    report = json.loads(out)
+    top = ["command", "model", "seed", "results", "status", "wall_time_s"]
+    assert list(report) == (top if seeded else [k for k in top if k != "seed"])
+    assert report["command"] == command
+    assert list(report["model"]) == ["dim", "n", "rho_eigenvalues", "fisher_eigenvalues"]
+    assert list(report["results"]) == result_keys
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert [line.split(":")[0].rstrip() for line in out.splitlines() if ":" in line] == labels

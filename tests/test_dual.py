@@ -333,7 +333,7 @@ def test_solve_one_parameter_model():
 
 def test_monotone_lp_values(qubit_solution, qutrit_solution):
     for _, sol in (qubit_solution, qutrit_solution):
-        diffs = np.diff(sol.lp_values)
+        diffs = np.diff([rec.lp_value for rec in sol.trace])
         assert np.all(diffs <= 1e-9)
 
 
@@ -356,8 +356,8 @@ def test_weak_duality_against_sampled_measurements(qubit_solution):
     rng = np.random.default_rng(20)
     devs = [deviation(m, np.eye(3), sample_locally_unbiased(m, rng)) for _ in range(100)]
     min_dev = min(devs)
-    for value, _point in sol.feasible_points:
-        assert value <= min_dev + 1e-9
+    for rec in sol.trace:
+        assert rec.shifted_value <= min_dev + 1e-9
 
 
 def test_unconverged_status_and_best_point():
@@ -369,6 +369,21 @@ def test_unconverged_status_and_best_point():
     assert sol.feasibility >= -1e-12
     # the restored value is still a valid lower bound
     assert sol.optimum <= 7.84 + 1e-6
+
+
+@pytest.mark.parametrize("g", [np.eye(3), np.diag([1.0, 2.0, 0.7])], ids=["identity", "diagonal"])
+def test_round_without_new_cut_ends_unconverged(g):
+    # tolerances this tight leave the solver with violated cuts that are all
+    # in the LP already: the round adds nothing and the loop stops early
+    m = qubit()
+    cfg = SolverConfig(feas_tol=1e-10, obj_tol=1e-10, seed=0)
+    sol = solve_dual(m, g, cfg)
+    exact = optimal_random_bound(m, g)
+    assert sol.status == "unconverged"
+    assert sol.rounds < cfg.max_rounds
+    assert len(sol.trace) == sol.rounds
+    assert sol.certified
+    assert sol.optimum <= exact <= sol.lp_value
 
 
 # -- certificates -------------------------------------------------------------------
@@ -564,3 +579,8 @@ def test_config_validation():
         SolverConfig(feas_tol=0.0)
     with pytest.raises(ValidationError):
         SolverConfig(max_rounds=0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValidationError):
+            SolverConfig(obj_tol=bad)
+    with pytest.raises(ValidationError):
+        SolverConfig(seed=-1)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qcr import measurement
 from qcr.errors import NotPsdError, UnbiasednessError, ValidationError
 from qcr.measurement import (
     Atom,
@@ -391,9 +394,21 @@ def test_simulate_requires_unbiased():
 
 
 def test_simulate_chunked_merge():
+    # samples are drawn in fixed blocks: a count spanning many blocks, with a
+    # partial last one, reproduces bit for bit and keeps memory at one block
     m = qubit()
-    p = optimal_random_measurement(m, np.eye(3))
-    a = simulate(m, p, 9000, seed=7, chunks=3)
-    assert a.chunks == 3
-    b = simulate(m, p, 9000, seed=7, chunks=3)
-    assert np.array_equal(a.cov, b.cov)
+    g = np.eye(3)
+    p = optimal_random_measurement(m, g)
+    samples = 1_000_003
+    assert samples > measurement.SIMULATE_BLOCK and samples % measurement.SIMULATE_BLOCK
+    tracemalloc.start()
+    try:
+        a = simulate(m, p, samples, seed=7, weight=g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    b = simulate(m, p, samples, seed=7, weight=g)
+    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+    assert a.quad_mean == b.quad_mean and a.quad_se == b.quad_se
+    # about 6 MB in blocks; drawing all samples at once takes about 62 MB
+    assert peak < 16 * 2**20
