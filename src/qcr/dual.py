@@ -252,27 +252,124 @@ def _sphere_min(w: np.ndarray, q: np.ndarray, g: np.ndarray,
 class _Separation:
     min_value: float
     best: np.ndarray
-    violated: list[np.ndarray]
+    violated: np.ndarray
 
 
 def _spread_select(points: np.ndarray, candidate_idx: np.ndarray, count: int,
                    rel_dist: float) -> np.ndarray:
-    """Greedy selection of candidates kept pairwise apart at a relative scale."""
-    chosen: list[np.ndarray] = []
-    chosen_norms: list[float] = []
-    for idx in candidate_idx:
-        if len(chosen) >= count:
+    """Greedy selection of candidates kept pairwise apart at a relative scale.
+
+    Candidates are taken in order; one is skipped when it lies within
+    rel_dist * (|y| + |y'| + 1e-6) of an already chosen y'.
+    """
+    cand = points[candidate_idx]
+    norms = np.linalg.norm(cand, axis=1)
+    free = np.ones(cand.shape[0], dtype=bool)
+    chosen = []
+    j = 0
+    while free.size and len(chosen) < count:
+        chosen.append(j)
+        dist = np.linalg.norm(cand[j + 1:] - cand[j], axis=1)
+        free[j + 1:] &= ~(dist <= rel_dist * (norms[j + 1:] + norms[j] + 1e-6))
+        nxt = np.flatnonzero(free[j + 1:])
+        if nxt.size == 0:
             break
-        y = points[idx]
-        if chosen:
-            block = np.asarray(chosen)
-            dist = np.linalg.norm(block - y, axis=1)
-            limit = rel_dist * (np.asarray(chosen_norms) + np.linalg.norm(y) + 1e-6)
-            if np.any(dist <= limit):
-                continue
-        chosen.append(y.copy())
-        chosen_norms.append(float(np.linalg.norm(y)))
-    return np.asarray(chosen)
+        j += 1 + int(nxt[0])
+    return cand[chosen]
+
+
+def _hermitian(mats: np.ndarray) -> np.ndarray:
+    return (mats + np.swapaxes(mats, -1, -2).conj()) / 2.0
+
+
+class _CutStore:
+    """The LP rows of the registered cuts, with their right-hand sides, ages and (xi, v).
+
+    Each field is an array with spare capacity that doubles when it runs
+    out; the live cuts are its first ``n`` entries, in registration order.
+    """
+
+    FIELDS = ("rows", "rhs", "age", "xi", "v")
+    XI_TOL = 1e-9  # relative distance within which two tangent points coincide
+    V_TOL = 1e-10  # two unit witnesses coincide when |<v', v>| >= 1 - V_TOL
+
+    def __init__(self, nv: int, m: int, d: int, capacity: int = 64):
+        self.n = 0
+        self.rows = np.empty((capacity, nv))
+        self.rhs = np.empty(capacity)
+        self.age = np.empty(capacity, dtype=np.intp)
+        self.xi = np.empty((capacity, m))
+        self.v = np.empty((capacity, d), dtype=complex)
+
+    def _gather(self, idx: np.ndarray, at: int) -> None:
+        """Move the entries ``idx`` (ascending, none below ``at``) to ``at``, ``at + 1``, ..."""
+        for name in self.FIELDS:
+            arr = getattr(self, name)
+            arr[at: at + idx.size] = arr[idx]
+        self.n = at + idx.size
+
+    def add(self, xi: np.ndarray, v: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> int:
+        """Append the cuts that repeat no stored cut and no earlier added cut of the batch.
+
+        A cut (xi, v) repeats (xi', v') when |xi - xi'| <= XI_TOL (1 + |xi|)
+        and |<v', v>| >= 1 - V_TOL, so a witness's phase does not matter.
+        Witnesses are stored normalized. Returns the number of cuts added.
+        """
+        n, k = self.n, xi.shape[0]
+        if n + k > self.rhs.size:
+            cap = self.rhs.size
+            while cap < n + k:
+                cap *= 2
+            for name in self.FIELDS:
+                old = getattr(self, name)
+                new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+                new[:n] = old[:n]
+                setattr(self, name, new)
+        v = v / np.linalg.norm(v, axis=1, keepdims=True)
+        self.rows[n: n + k] = rows
+        self.rhs[n: n + k] = rhs
+        self.age[n: n + k] = 0
+        self.xi[n: n + k] = xi
+        self.v[n: n + k] = v
+        # pairs (i, j) where cut j of the batch repeats entry i, stored or of the batch
+        i, j = np.nonzero(np.abs(self.v[: n + k].conj() @ v.T) >= 1.0 - self.V_TOL)
+        close = (np.linalg.norm(self.xi[i] - xi[j], axis=1)
+                 <= self.XI_TOL * (1.0 + np.linalg.norm(xi[j], axis=1)))
+        i, j = i[close], j[close]
+        keep = np.ones(k, dtype=bool)
+        keep[j[i < n]] = False
+        inner = (i >= n) & (i - n < j)
+        # a repeat of an earlier batch cut counts only if that cut was kept
+        for later, earlier in sorted(zip(j[inner], i[inner] - n)):
+            keep[later] = keep[later] and not keep[earlier]
+        if np.all(keep):
+            self.n = n + k
+        else:
+            self._gather(n + np.flatnonzero(keep), n)
+        return self.n - n
+
+    def drop_stale(self, x: np.ndarray, floor: int) -> np.ndarray | None:
+        """Age the cuts slack at x and retire those slack for 8 consecutive rounds.
+
+        Nothing ages while at most ``floor`` cuts are stored. Returns the
+        indices of the kept cuts when any was retired, else None.
+        """
+        n = self.n
+        if n <= floor:
+            return None
+        rhs = self.rhs[:n]
+        age = self.age[:n]
+        tight = rhs - self.rows[:n] @ x <= 1e-8 * (1.0 + np.abs(rhs))
+        age[tight] = 0
+        age[~tight] += 1
+        keep = np.flatnonzero(age < 8)
+        if keep.size == n:
+            return None
+        self._gather(keep, 0)
+        return keep
+
+    def cuts(self) -> list[Cut]:
+        return [Cut(xi, v) for xi, v in zip(self.xi[: self.n].copy(), self.v[: self.n].copy())]
 
 
 class _Engine:
@@ -353,20 +450,24 @@ class _Engine:
         s[(self.iu[1], self.iu[0])] = re - 1j * im
         return b, s
 
-    def cut_row(self, y: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, float]:
-        kv = np.einsum("i,kij,j->k", v.conj(), self.ops, v).real
-        row = np.zeros(self.nv)
-        row[: self.nB] = np.outer(kv, y).ravel()
-        row[self.nB: self.nB + self.d] = np.abs(v) ** 2
-        z = v.conj()[self.iu[0]] * v[self.iu[1]]
-        row[self.nB + self.d: self.nB + self.d + self.npair] = 2.0 * z.real
-        row[self.nB + self.d + self.npair:] = -2.0 * z.imag
-        rhs = float(y @ self.G @ y) * float((v.conj() @ self.rho @ v).real)
-        return row, rhs
+    def cut_rows(self, ys: np.ndarray, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """LP rows and right-hand sides of the cuts v^dag R(xi) v >= 0, one per (ys[q], vs[q]).
 
-    def residual_mat(self, b: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
-        mat = float(y @ self.G @ y) * self.rho - s - np.tensordot(b @ y, self.ops, axes=(0, 0))
-        return (mat + mat.conj().T) / 2.0
+        Row q times the packed variables z is v^dag (S + B(xi)) v, so rhs - row @ z
+        is the cut's value v^dag R(xi) v at the point z.
+        """
+        k = ys.shape[0]
+        vc = vs.conj()
+        kv = np.einsum("qi,kij,qj->qk", vc, self.ops, vs).real
+        rows = np.empty((k, self.nv))
+        rows[:, : self.nB] = (kv[:, :, None] * ys[:, None, :]).reshape(k, self.nB)
+        rows[:, self.nB: self.nB + self.d] = vs.real ** 2 + vs.imag ** 2
+        z = vc[:, self.iu[0]] * vs[:, self.iu[1]]
+        rows[:, self.nB + self.d: self.nB + self.d + self.npair] = 2.0 * z.real
+        rows[:, self.nB + self.d + self.npair:] = -2.0 * z.imag
+        rhs = (np.einsum("qi,ij,qj->q", ys, self.G, ys)
+               * np.einsum("qi,ij,qj->q", vc, self.rho, vs).real)
+        return rows, rhs
 
     # -- separation ---------------------------------------------------------
 
@@ -375,6 +476,10 @@ class _Engine:
         quad = np.einsum("qi,ij,qj->q", ys, self.G, ys)
         coef = ys @ b.T
         return quad[:, None, None] * self.rho[None] - s[None] - np.tensordot(coef, self.ops, axes=(1, 0))
+
+    def residual_mat(self, b: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Hermitian residual matrix at one tangent point."""
+        return _hermitian(self.residuals(b, s, np.asarray(y, dtype=float)[None]))[0]
 
     def lam_min(self, b: np.ndarray, s: np.ndarray, ys: np.ndarray) -> np.ndarray:
         return _lam_min_batch(self.residuals(b, s, ys))
@@ -485,68 +590,20 @@ class _Engine:
 
         bad = np.argsort(all_vals)
         bad = bad[all_vals[bad] < -config.feas_tol]
-        violated = list(_spread_select(all_pts, bad[:2048], MAX_CUTS_PER_ROUND, 0.01))
+        violated = _spread_select(all_pts, bad[:2048], MAX_CUTS_PER_ROUND, 0.01)
         return _Separation(min_value, best[0].copy(), violated)
 
     # -- main loop ----------------------------------------------------------
 
     def solve(self, config: SolverConfig) -> DualResult:
         rng = np.random.default_rng(config.seed)
-        rows: list[np.ndarray] = []
-        rhss: list[float] = []
-        cuts: list[Cut] = []
-        ages: list[int] = []
-        xi_stack = np.zeros((0, self.m))
-        v_stack = np.zeros((0, self.d), dtype=complex)
-
-        def register(y: np.ndarray, v: np.ndarray) -> bool:
-            nonlocal xi_stack, v_stack
-            if len(cuts):
-                close = np.linalg.norm(xi_stack - y, axis=1) <= 1e-9 * (1.0 + np.linalg.norm(y))
-                if np.any(close):
-                    overlap = np.abs(v_stack[close].conj() @ v) >= 1.0 - 1e-10
-                    if np.any(overlap):
-                        return False
-            row, rhs = self.cut_row(y, v)
-            rows.append(row)
-            rhss.append(rhs)
-            v = v / np.linalg.norm(v)
-            cuts.append(Cut(y, v))
-            ages.append(0)
-            xi_stack = np.vstack([xi_stack, y[None, :]])
-            v_stack = np.vstack([v_stack, v[None, :]])
-            return True
-
-        def drop_stale(x: np.ndarray) -> list[int]:
-            # retire cuts slack for many consecutive rounds; the LP stays small.
-            # Returns the indices of the kept cuts.
-            nonlocal xi_stack, v_stack
-            if len(cuts) <= 4 * self.nv:
-                return list(range(len(cuts)))
-            slack = np.asarray(rhss) - np.asarray(rows) @ x
-            keep = []
-            for i, sl in enumerate(slack):
-                if sl <= 1e-8 * (1.0 + abs(rhss[i])):
-                    ages[i] = 0
-                else:
-                    ages[i] += 1
-                if ages[i] < 8:
-                    keep.append(i)
-            if len(keep) < len(cuts):
-                for name, seq in (("rows", rows), ("rhss", rhss), ("cuts", cuts), ("ages", ages)):
-                    kept = [seq[i] for i in keep]
-                    seq.clear()
-                    seq.extend(kept)
-                xi_stack = xi_stack[keep]
-                v_stack = v_stack[keep]
-            return keep
-
-        seeds = [np.zeros(self.m)]
-        for i in range(self.m):
-            seeds.extend([self.basis[i], -self.basis[i]])
-        for y in seeds:
-            for i in range(self.d):
-                register(np.asarray(y, dtype=float), self.rho_vecs[:, i])
+        store = _CutStore(self.nv, self.m, self.d)
+        # seed cuts: every eigenvector of rho at xi = 0 and at +-basis[i]
+        seeds = np.vstack([np.zeros((1, self.m)),
+                           np.stack([self.basis, -self.basis], axis=1).reshape(-1, self.m)])
+        ys = np.repeat(seeds, self.d, axis=0)
+        vs = np.tile(self.rho_vecs.T, (seeds.shape[0], 1))
+        store.add(ys, vs, *self.cut_rows(ys, vs))
 
         trace: list[DualRound] = []
         prev_lp: float | None = None
@@ -555,7 +612,7 @@ class _Engine:
         s = np.zeros((self.d, self.d), dtype=complex)
         start = None  # the last round's basis; appended cut rows leave it valid
         for rnd in range(1, config.max_rounds + 1):
-            lp = solve_boxed_lp(self.cvec, np.vstack(rows), np.array(rhss),
+            lp = solve_boxed_lp(self.cvec, store.rows[: store.n], store.rhs[: store.n],
                                 self.lb, self.ub, maximize=True, start=start)
             if lp.status != "optimal":
                 raise NumericError(f"cutting-plane relaxation came back {lp.status}")
@@ -563,7 +620,7 @@ class _Engine:
             sep = self.separate(b, s, rng, config)
             # every cut is one LP row
             rec = DualRound(lp.value, sep.min_value, lp.value + min(0.0, sep.min_value) * self.d,
-                            len(rhss), lp.iterations, lp.warm)
+                            store.n, lp.iterations, lp.warm)
             trace.append(rec)
             log.debug("round %d: lp=%.9g sep=%.3e rows=%d pivots=%d warm=%s", rnd,
                       rec.lp_value, rec.sep_min, rec.rows, rec.pivots, rec.warm)
@@ -575,26 +632,27 @@ class _Engine:
                     status = "converged"
                     break
                 continue
-            n_cuts = len(cuts)
-            keep = drop_stale(lp.x)
-            if len(keep) < n_cuts:
+            n_cuts = store.n
+            # retire cuts slack for many consecutive rounds; the LP stays small
+            keep = store.drop_stale(lp.x, 4 * self.nv)
+            if keep is not None:
                 # renumber the basic cut rows; a basic cut is tight, so it is
                 # never retired, but if one were the next round starts cold
                 new_row = np.full(n_cuts, -1)
-                new_row[keep] = np.arange(len(keep))
+                new_row[keep] = np.arange(keep.size)
                 basic = start >= 0
                 start = start.copy()
                 start[basic] = new_row[start[basic]]
                 if np.any(start[basic] < 0):
                     start = None
-            added = False
-            for y in sep.violated:
-                w, vecs = np.linalg.eigh(self.residual_mat(b, s, y))
-                for i in range(self.d):
-                    if i > 0 and w[i] >= -config.feas_tol:
-                        break
-                    added = register(y, vecs[:, i]) or added
-            if not added:
+            # at each violated point, a cut for the lowest eigenvector and for
+            # every other one below -feas_tol
+            w, vecs = np.linalg.eigh(_hermitian(self.residuals(b, s, sep.violated)))
+            take = w < -config.feas_tol
+            take[:, 0] = True
+            qi, ii = np.nonzero(take)
+            ys, vs = sep.violated[qi], vecs[qi, :, ii]
+            if not store.add(ys, vs, *self.cut_rows(ys, vs)):
                 break  # every violated cut is in the LP already: the relaxation cannot move
 
         # feasibility restoration: shift S along the identity until a boosted
@@ -603,14 +661,14 @@ class _Engine:
         # certifies the result
         feasibility = 0.0
         for _ in range(5):
-            sep = self.separate(b, s, rng, config, boost=3, live=v_stack)
+            sep = self.separate(b, s, rng, config, boost=3, live=store.v[: store.n])
             feasibility = sep.min_value
             if sep.min_value >= -RESTORE_TOL:
                 break
             s = s + (sep.min_value - RESTORE_TOL) * np.eye(self.d)
         optimum = float(self.cvec[: self.nB] @ b.ravel()) + float(np.trace(s).real)
         certified = self.d == 2 and feasibility >= -RESTORE_TOL
-        return DualResult(optimum, DualPoint(b, s), cuts, len(trace), status,
+        return DualResult(optimum, DualPoint(b, s), store.cuts(), len(trace), status,
                           trace[-1].lp_value, feasibility, certified, trace)
 
 

@@ -274,6 +274,12 @@ def shift_measurement(p: RandomMeasurement, x) -> RandomMeasurement:
     return RandomMeasurement(tuple(atoms))
 
 
+def _require_seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
+    return int(seed)
+
+
 def sample_frontier(model: StatisticalModel, count: int, seed: int) -> list[np.ndarray]:
     """Sample covariance matrices on the random-measurement Pareto frontier.
 
@@ -283,7 +289,7 @@ def sample_frontier(model: StatisticalModel, count: int, seed: int) -> list[np.n
     """
     if count < 1:
         raise ValidationError("count must be at least 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_seed(seed))
     n = model.n
     out = []
     for _ in range(count):
@@ -371,6 +377,7 @@ def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: 
     """
     if samples < 1:
         raise ValidationError("samples must be at least 1")
+    seed = _require_seed(seed)
     rep = is_locally_unbiased(model, p)
     if not rep:
         raise UnbiasednessError("simulate requires a locally unbiased measurement")

@@ -8,6 +8,7 @@ from qcr.dual import (
     Cut,
     DualPoint,
     SolverConfig,
+    _CutStore,
     _Engine,
     _sphere_min,
     dual_submodel_inequality,
@@ -565,6 +566,114 @@ def test_warm_started_relaxations_match_cold_solves(monkeypatch, name):
     solve_dual(m, np.eye(3), SolverConfig(feas_tol=1e-5, obj_tol=1e-5, max_rounds=60, seed=0))
     # a silent fallback to cold solves would fail here
     assert sum(warm_flags) >= 0.9 * len(warm_flags)
+
+
+# -- cut rows and the cut store ------------------------------------------------------
+
+def random_model(d, n, rng):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T + 0.1 * np.eye(d)
+    tangents = []
+    for _ in range(n):
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = h + h.conj().T
+        tangents.append(h - np.trace(h) / d * np.eye(d))
+    return build_model(DensityOperator(rho / np.trace(rho)), tangents)
+
+
+def unit_witnesses(rng, count, d):
+    v = rng.normal(size=(count, d)) + 1j * rng.normal(size=(count, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def _cut_row_cases():
+    """(model, engine, lift) triples; lift maps (B, xi) to the public residual's (a, G, xi)."""
+    rng = np.random.default_rng(90)
+    cases = []
+    for m in (qubit(0.6), random_model(3, 3, rng), random_model(4, 3, rng)):
+        a = rng.normal(size=(m.n, m.n))
+        g = a @ a.T + 0.3 * np.eye(m.n)
+        cases.append((m, _Engine(m, g, np.eye(m.n)), lambda b, y, g=g: (b, g, y)))
+    # the rectangular engine of dual_submodel_inequality: B is n x k on the
+    # coordinates of a k-dimensional subspace, lifted back through the embedding
+    m = random_model(3, 3, rng)
+    idx = [0, 2]
+    emb = np.zeros((m.n, len(idx)))
+    emb[idx, np.arange(len(idx))] = 1.0
+    proj = np.linalg.solve(emb.T @ m.fisher @ emb, emb.T @ m.fisher)
+    g_sub = np.array([[1.5, 0.4], [0.4, 0.8]])
+    g_full = emb @ g_sub @ emb.T + np.diag([0.0, 1.0, 0.0])
+    engine = _Engine(m, g_sub, proj.T)
+    assert (engine.n_ops, engine.m) == (3, 2)
+    cases.append((m, engine, lambda b, y: (b @ proj, g_full, emb @ y)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4), ids=["d2", "d3", "d4", "rectangular"])
+def test_cut_rows_give_the_cut_value(case):
+    # rhs - row @ z is the scalar cut v^dag R(xi) v at the LP point z
+    model, engine, lift = _cut_row_cases()[case]
+    rng = np.random.default_rng(91 + case)
+    for _ in range(20):
+        z = rng.normal(size=engine.nv)
+        b, s = engine.unpack(z)
+        ys = 2.0 * rng.normal(size=(7, engine.m))
+        vs = unit_witnesses(rng, 7, engine.d)
+        rows, rhs = engine.cut_rows(ys, vs)
+        assert rows.shape == (7, engine.nv)
+        for row, r, y, v in zip(rows, rhs, ys, vs):
+            a, g, xi = lift(b, y)
+            expect = float((v.conj() @ residual(model, g, DualPoint(a, s), xi) @ v).real)
+            # relative to the size of the terms whose difference is the cut value
+            scale = abs(r) + np.abs(row) @ np.abs(z)
+            assert abs(r - row @ z - expect) <= 1e-12 * scale
+
+
+def test_cut_store_skips_repeated_cuts():
+    engine = _Engine(qubit(0.6), np.eye(3), np.eye(3))
+    rng = np.random.default_rng(92)
+    ys = rng.normal(size=(4, 3))
+    vs = unit_witnesses(rng, 4, 2)
+    store = _CutStore(engine.nv, engine.m, engine.d, capacity=2)
+    assert store.add(ys, vs, *engine.cut_rows(ys, vs)) == 4
+    rows_before = store.rows[: store.n].copy()
+
+    # the stored cuts again, with rephased witnesses: no row is added
+    phased = vs * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(4, 1)))
+    assert store.add(ys, phased, *engine.cut_rows(ys, phased)) == 0
+    assert store.n == 4
+    assert np.array_equal(store.rows[:4], rows_before)
+
+    # a batch that repeats its own cut adds one row; a new witness at a stored
+    # point is not a repeat
+    y2 = np.vstack([ys[:1] + 5.0, ys[:1] + 5.0 + 1e-12, ys[:1]])
+    v2 = np.vstack([vs[:1], vs[:1] * 1j, [vs[0, 1].conj(), -vs[0, 0].conj()]])
+    assert store.add(y2, v2, *engine.cut_rows(y2, v2)) == 2
+    assert np.allclose(store.xi[4:6], y2[[0, 2]])
+    assert np.allclose(store.v[4:6], v2[[0, 2]])
+
+    # a batch cut that repeats only a dropped repeat of a stored cut is kept:
+    # xi = 0.8e-9 e1 repeats the stored xi = 0, xi = 1.6e-9 e1 repeats only that
+    store = _CutStore(engine.nv, engine.m, engine.d)
+    v0 = vs[:1]
+    store.add(np.zeros((1, 3)), v0, *engine.cut_rows(np.zeros((1, 3)), v0))
+    y3 = np.array([[0.8e-9, 0.0, 0.0], [1.6e-9, 0.0, 0.0]])
+    v3 = np.vstack([v0, v0])
+    assert store.add(y3, v3, *engine.cut_rows(y3, v3)) == 1
+    assert np.array_equal(store.xi[1], y3[1])
+
+
+def test_solved_cuts_are_unit_and_distinct(qubit_solution):
+    _, res = qubit_solution
+    xi = np.array([c.xi for c in res.cuts])
+    v = np.array([c.v for c in res.cuts])
+    assert len(res.cuts) > 20
+    assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12)
+    dist = np.linalg.norm(xi[:, None, :] - xi[None, :, :], axis=2)
+    close = dist <= _CutStore.XI_TOL * (1.0 + np.linalg.norm(xi, axis=1))[None, :]
+    same = close & (np.abs(v.conj() @ v.T) >= 1.0 - _CutStore.V_TOL)
+    np.fill_diagonal(same, False)
+    assert not np.any(same)
 
 
 # -- cut and config types ---------------------------------------------------------------

@@ -393,6 +393,16 @@ def test_simulate_requires_unbiased():
         simulate(m, RandomMeasurement((Atom(1.0, e1, e1),)), 10, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
+def test_sampling_rejects_bad_seed(seed):
+    m = qubit()
+    p = optimal_random_measurement(m, np.eye(3))
+    with pytest.raises(ValidationError, match="seed"):
+        simulate(m, p, 10, seed=seed)
+    with pytest.raises(ValidationError, match="seed"):
+        sample_frontier(m, 3, seed=seed)
+
+
 def test_simulate_chunked_merge():
     # samples are drawn in fixed blocks: a count spanning many blocks, with a
     # partial last one, reproduces bit for bit and keeps memory at one block
