@@ -336,6 +336,7 @@ def cmd_simulate(args, model: StatisticalModel) -> Outcome:
         "mean_standard_errors": vector_to_list(se_mean),
         "empirical_cov": matrix_to_lists(sim.cov),
         "empirical_deviation": emp_dev,
+        "second_moment": sim.quad_mean,
         "deviation_standard_error": sim.quad_se,
         "theory_deviation": theory_dev,
         "wide_uncertainty": bool(sim.n_samples < 100),
@@ -344,7 +345,8 @@ def cmd_simulate(args, model: StatisticalModel) -> Outcome:
         f"samples: {sim.n_samples}",
         f"empirical mean    : {np.array2string(sim.mean, precision=6)}",
         f"mean standard err : {np.array2string(se_mean, precision=6)}",
-        f"empirical tr(G V) : {emp_dev:.6g} +- {sim.quad_se:.3g}",
+        f"empirical tr(G V) : {emp_dev:.6g}",
+        f"empirical tr(G E[xx^T]) : {sim.quad_mean:.6g} +- {sim.quad_se:.3g}",
         f"theoretical tr(G V): {theory_dev:.6g}",
     ]
     if results["wide_uncertainty"]:

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,7 @@ log = logging.getLogger("qcr.dual")
 MAX_CUTS_PER_ROUND = 10
 RESTORE_TOL = 1e-12
 QUBIT_COVER = 128
+EPS = float(np.finfo(float).eps)
 PAULIS = np.stack([PAULI_1, PAULI_2, PAULI_3])
 
 
@@ -122,7 +124,8 @@ class DualRound:
     certified; for d >= 3 the per-round sweep can miss violations and the
     shifted value can lie above the optimum. ``rows``, ``pivots`` and
     ``warm`` describe the LP: its cut rows, its simplex pivots, and whether
-    it restarted from the previous round's basis.
+    it restarted from the previous round's basis. ``lp_s`` and ``sep_s`` are
+    the wall-clock seconds of the round's LP solve and separation sweep.
     """
 
     lp_value: float
@@ -131,6 +134,8 @@ class DualRound:
     rows: int
     pivots: int
     warm: bool
+    lp_s: float
+    sep_s: float
 
 
 @dataclass
@@ -170,17 +175,6 @@ def spur(model: StatisticalModel, dual: DualPoint) -> float:
     return float(np.trace(dual.a)) + float(np.trace(dual.s).real)
 
 
-def _lam_min_batch(mats: np.ndarray) -> np.ndarray:
-    d = mats.shape[-1]
-    if d == 2:
-        h11 = mats[:, 0, 0].real
-        h22 = mats[:, 1, 1].real
-        od = mats[:, 0, 1]
-        half = 0.5 * (h11 - h22)
-        return 0.5 * (h11 + h22) - np.sqrt(half * half + od.real**2 + od.imag**2)
-    return np.linalg.eigvalsh(mats)[:, 0]
-
-
 def _pauli_coords(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Traces and Pauli coordinates tr(X sigma_j) of a stack of 2 x 2 Hermitian matrices."""
     return (np.trace(mats, axis1=-2, axis2=-1).real,
@@ -205,47 +199,54 @@ def _sphere_min(w: np.ndarray, q: np.ndarray, g: np.ndarray,
     multiplier is parametrized as mu = t - w[0], t >= 0, so that the
     secular equation sum (h_i / (gap_i + t))^2 = 1 loses no digits to
     cancellation when g is nearly orthogonal to the lowest eigenvector.
+
+    The iteration runs on Python floats: on three coordinates, NumPy's
+    per-call overhead is most of the cost.
     """
-    h = q.T @ g
-    gap = w - w[0]
-    hnorm = float(np.linalg.norm(h))
-    tiny = 8.0 * np.finfo(float).eps * max(hnorm, abs(w[0]), abs(w[-1]), 1e-300)
-    y = np.zeros(3)
-    pos = gap > 0.0
-    y[pos] = -h[pos] / gap[pos]
-    if np.all(np.abs(h[~pos]) <= tiny) and y @ y < 1.0:
+    h0, h1, h2 = (q.T @ g).tolist()
+    w0, w1, w2 = w.tolist()
+    gap1, gap2 = w1 - w0, w2 - w0
+    hnorm = math.sqrt(h0 * h0 + h1 * h1 + h2 * h2)
+    tiny = 8.0 * EPS * max(hnorm, abs(w0), abs(w2), 1e-300)
+    # the coordinates outside the lowest eigenspace (gap > 0) have finite
+    # y = -h / gap at mu = -w[0]; the others make up h_low
+    y1 = -h1 / gap1 if gap1 > 0.0 else 0.0
+    y2 = -h2 / gap2 if gap2 > 0.0 else 0.0
+    low = [h0] + [hk for hk, gk in ((h1, gap1), (h2, gap2)) if not gk > 0.0]
+    hlow = math.sqrt(sum(hk * hk for hk in low))
+    if all(abs(hk) <= tiny for hk in low) and y1 * y1 + y2 * y2 < 1.0:
         # hard case: g (nearly) orthogonal to the lowest eigenspace, mu = -w[0];
         # the remaining norm goes along the lowest eigenvector
-        y[0] = math.copysign(math.sqrt(1.0 - y @ y), -h[0])
-        t = float(np.linalg.norm(h[~pos]))
+        y0 = math.copysign(math.sqrt(1.0 - (y1 * y1 + y2 * y2)), -h0)
+        t = hlow
     else:
         # Newton on 1/|y(t)| - 1, increasing in t, safeguarded by the bracket
-        # |h_low| <= t* <= |h| (and t* >= |h| - gap_max)
-        lo = max(float(np.linalg.norm(h[~pos])), hnorm - gap[-1], 0.0)
+        # |h_low| <= t* <= |h| (and t* >= |h| - gap_max); t stays positive
+        lo = max(hlow, hnorm - gap2, 0.0)
         hi = hnorm
         t = hi
         for _ in range(100):
-            den = gap + t
-            y = -h / den
-            phi = float(y @ y)
+            d1, d2 = gap1 + t, gap2 + t
+            y0, y1, y2 = -h0 / t, -h1 / d1, -h2 / d2
+            phi = y0 * y0 + y1 * y1 + y2 * y2
             psi = phi ** -0.5 - 1.0
-            if abs(psi) <= 4.0 * np.finfo(float).eps:
+            if abs(psi) <= 4.0 * EPS:
                 break
             if psi < 0.0:
                 lo = t
             else:
                 hi = t
-            t_new = t - psi / (phi ** -1.5 * float(np.sum(y * y / den)))
+            t_new = t - psi / (phi ** -1.5 * (y0 * y0 / t + y1 * y1 / d1 + y2 * y2 / d2))
             if not lo < t_new < hi:
                 t_new = math.sqrt(lo * hi) if lo > 0.0 else 0.5 * hi
-            if t_new == t or hi - lo <= np.finfo(float).eps * hi:
+            if t_new == t or hi - lo <= EPS * hi:
                 break
             t = t_new
-        y = -h / (gap + t)
-    r = q @ y
-    r /= np.linalg.norm(r)
-    terms = np.divide(h * h, gap + t, out=np.zeros(3), where=h != 0.0)
-    return r, float(c + w[0] - t - np.sum(terms))
+        y0, y1, y2 = -h0 / t, -h1 / (gap1 + t), -h2 / (gap2 + t)
+    r = q @ (y0, y1, y2)
+    r /= math.sqrt(r @ r)
+    terms = sum(hk * hk / (gk + t) for hk, gk in ((h0, 0.0), (h1, gap1), (h2, gap2)) if hk != 0.0)
+    return r, float(c + w0 - t - terms)
 
 
 @dataclass
@@ -263,18 +264,17 @@ def _spread_select(points: np.ndarray, candidate_idx: np.ndarray, count: int,
     rel_dist * (|y| + |y'| + 1e-6) of an already chosen y'.
     """
     cand = points[candidate_idx]
-    norms = np.linalg.norm(cand, axis=1)
-    free = np.ones(cand.shape[0], dtype=bool)
+    k = cand.shape[0]
+    norms = np.sqrt((cand * cand).sum(axis=1))
+    free = np.ones(k + 1, dtype=bool)  # free[k] ends the scan for the next free candidate
     chosen = []
     j = 0
-    while free.size and len(chosen) < count:
+    while j < k and len(chosen) < count:
         chosen.append(j)
-        dist = np.linalg.norm(cand[j + 1:] - cand[j], axis=1)
-        free[j + 1:] &= ~(dist <= rel_dist * (norms[j + 1:] + norms[j] + 1e-6))
-        nxt = np.flatnonzero(free[j + 1:])
-        if nxt.size == 0:
-            break
-        j += 1 + int(nxt[0])
+        diff = cand[j + 1:] - cand[j]
+        dist = np.sqrt((diff * diff).sum(axis=1))
+        free[j + 1: k] &= ~(dist <= rel_dist * (norms[j + 1:] + norms[j] + 1e-6))
+        j += 1 + int(free[j + 1:].argmax())
     return cand[chosen]
 
 
@@ -430,13 +430,15 @@ class _Engine:
         if d == 2:
             # Bloch data of the exact qubit oracle, and a Fibonacci cover of
             # the Bloch sphere whose jumps seed it and add cuts
-            self.rho_bloch = _pauli_coords(self.rho)[1]
+            self.rho_tr, self.rho_bloch = _pauli_coords(self.rho)
+            self.bloch_floor = 1.0 - float(np.linalg.norm(self.rho_bloch))  # min of 1 + p.r
             self.ops_tr, self.ops_bloch = _pauli_coords(self.ops)
             i = np.arange(QUBIT_COVER)
             z = 1.0 - 2.0 * (i + 0.5) / QUBIT_COVER
             phi = i * (np.pi * (3.0 - math.sqrt(5.0)))
             rxy = np.sqrt(1.0 - z * z)
             self.cover = _bloch_spinors(np.stack([rxy * np.cos(phi), rxy * np.sin(phi), z], axis=1))
+            self.cover_coeffs = self._witness_coeffs(self.cover)
 
     # -- LP pieces ----------------------------------------------------------
 
@@ -457,17 +459,14 @@ class _Engine:
         is the cut's value v^dag R(xi) v at the point z.
         """
         k = ys.shape[0]
-        vc = vs.conj()
-        kv = np.einsum("qi,kij,qj->qk", vc, self.ops, vs).real
+        rv, kv = self._witness_coeffs(vs)
         rows = np.empty((k, self.nv))
         rows[:, : self.nB] = (kv[:, :, None] * ys[:, None, :]).reshape(k, self.nB)
         rows[:, self.nB: self.nB + self.d] = vs.real ** 2 + vs.imag ** 2
-        z = vc[:, self.iu[0]] * vs[:, self.iu[1]]
+        z = vs.conj()[:, self.iu[0]] * vs[:, self.iu[1]]
         rows[:, self.nB + self.d: self.nB + self.d + self.npair] = 2.0 * z.real
         rows[:, self.nB + self.d + self.npair:] = -2.0 * z.imag
-        rhs = (np.einsum("qi,ij,qj->q", ys, self.G, ys)
-               * np.einsum("qi,ij,qj->q", vc, self.rho, vs).real)
-        return rows, rhs
+        return rows, np.einsum("qi,ij,qj->q", ys, self.G, ys) * rv
 
     # -- separation ---------------------------------------------------------
 
@@ -482,7 +481,20 @@ class _Engine:
         return _hermitian(self.residuals(b, s, np.asarray(y, dtype=float)[None]))[0]
 
     def lam_min(self, b: np.ndarray, s: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return _lam_min_batch(self.residuals(b, s, ys))
+        """Smallest residual eigenvalue at a batch of tangent points, one per row of ys.
+
+        At d = 2 the residual's trace and Pauli coordinates are linear in
+        (xi G xi, S, B xi), and lambda_min = (tr R - |bloch R|) / 2 needs no
+        residual matrices.
+        """
+        if self.d != 2:
+            return np.linalg.eigvalsh(self.residuals(b, s, ys))[:, 0]
+        quad = np.einsum("qi,ij,qj->q", ys, self.G, ys)
+        coef = ys @ b.T
+        s_tr, s_bloch = _pauli_coords(s)
+        tr = quad * self.rho_tr - s_tr - coef @ self.ops_tr
+        bloch = quad[:, None] * self.rho_bloch - s_bloch - coef @ self.ops_bloch
+        return 0.5 * (tr - np.sqrt(np.einsum("qj,qj->q", bloch, bloch)))
 
     def _descend(self, b, s, pts: np.ndarray, iters: int = 40) -> tuple[np.ndarray, np.ndarray]:
         """Alternating descent on lambda_min of the residual.
@@ -512,6 +524,16 @@ class _Engine:
         vs = rng.normal(size=(count, self.d)) + 1j * rng.normal(size=(count, self.d))
         return vs / np.linalg.norm(vs, axis=1, keepdims=True)
 
+    def _witness_coeffs(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Witness expectations v^dag rho v and v^dag T_k v, one row per witness."""
+        vc = vs.conj()
+        return (np.einsum("qi,ij,qj->q", vc, self.rho, vs).real,
+                np.einsum("qi,kij,qj->qk", vc, self.ops, vs).real)
+
+    def _jumps(self, b, rv: np.ndarray, wk: np.ndarray) -> np.ndarray:
+        """Jumps xi*(v) from the witness expectations of ``_witness_coeffs``."""
+        return ((wk @ b) @ self.g_inv) / (2.0 * rv[:, None])
+
     def _witness_jumps(self, b, vs: np.ndarray) -> np.ndarray:
         """Exact scalar-cut minimizers xi*(v) for a batch of witness vectors.
 
@@ -519,9 +541,7 @@ class _Engine:
         quadratic minimizer of its own witness, so a dense witness sample
         reaches every basin regardless of its scale in y-space.
         """
-        rv = np.einsum("qi,ij,qj->q", vs.conj(), self.rho, vs).real
-        wk = np.einsum("qi,kij,qj->qk", vs.conj(), self.ops, vs).real
-        return ((wk @ b) @ self.g_inv) / (2.0 * rv[:, None])
+        return self._jumps(b, *self._witness_coeffs(vs))
 
     def _qubit_min(self, b, s, lam: float) -> tuple[np.ndarray, float, float]:
         """Exact minimum over the Bloch sphere of the minimized scalar cut (d = 2).
@@ -543,11 +563,10 @@ class _Engine:
         lin = -0.5 * (a0 * p + a) - 0.25 * (kk.T @ (mk @ k0))
         const = -0.5 * a0 - 0.125 * float(k0 @ mk @ k0)
         w, q = np.linalg.eigh(quad)
-        floor = 1.0 - float(np.linalg.norm(p))
         r_best, f_best = None, math.inf
         for _ in range(32):
             r, f_dual = _sphere_min(w, q, 0.5 * (lin - lam * p), const - lam)
-            bound = lam + min(f_dual, 0.0) / floor
+            bound = lam + min(f_dual, 0.0) / self.bloch_floor
             val = float((r @ quad @ r + lin @ r + const) / (1.0 + p @ r))
             if val < f_best:
                 r_best, f_best = r, val
@@ -568,7 +587,7 @@ class _Engine:
         of S and the ``live`` cut witnesses to the sample.
         """
         if self.d == 2:
-            ys = self._witness_jumps(b, self.cover)
+            ys = self._jumps(b, *self.cover_coeffs)
             vals = self.lam_min(b, s, ys)
             r, f_best, min_value = self._qubit_min(b, s, float(np.min(vals)))
             best = self._witness_jumps(b, _bloch_spinors(r[None]))
@@ -612,18 +631,23 @@ class _Engine:
         s = np.zeros((self.d, self.d), dtype=complex)
         start = None  # the last round's basis; appended cut rows leave it valid
         for rnd in range(1, config.max_rounds + 1):
+            tick = time.perf_counter()
             lp = solve_boxed_lp(self.cvec, store.rows[: store.n], store.rhs[: store.n],
                                 self.lb, self.ub, maximize=True, start=start)
+            lp_s = time.perf_counter() - tick
             if lp.status != "optimal":
                 raise NumericError(f"cutting-plane relaxation came back {lp.status}")
             b, s = self.unpack(lp.x)
+            tick = time.perf_counter()
             sep = self.separate(b, s, rng, config)
+            sep_s = time.perf_counter() - tick
             # every cut is one LP row
             rec = DualRound(lp.value, sep.min_value, lp.value + min(0.0, sep.min_value) * self.d,
-                            store.n, lp.iterations, lp.warm)
+                            store.n, lp.iterations, lp.warm, lp_s, sep_s)
             trace.append(rec)
-            log.debug("round %d: lp=%.9g sep=%.3e rows=%d pivots=%d warm=%s", rnd,
-                      rec.lp_value, rec.sep_min, rec.rows, rec.pivots, rec.warm)
+            log.debug("round %d: lp=%.9g sep=%.3e rows=%d pivots=%d warm=%s lp_s=%.3g sep_s=%.3g",
+                      rnd, rec.lp_value, rec.sep_min, rec.rows, rec.pivots, rec.warm,
+                      rec.lp_s, rec.sep_s)
             obj_static = prev_lp is not None and abs(prev_lp - lp.value) < config.obj_tol
             prev_lp = lp.value
             start = lp.basis

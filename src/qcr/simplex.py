@@ -56,7 +56,7 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tab[row] /= tab[row, col]
     rates = tab[:, col].copy()
     rates[row] = 0.0
-    tab -= np.outer(rates, tab[row])
+    tab -= rates[:, None] * tab[row]
     tab[:, col] = 0.0
     tab[row, col] = 1.0
     basis[row] = col
@@ -65,49 +65,57 @@ def _pivot(tab: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
 def _iterate(tab: np.ndarray, basis: np.ndarray, tol: float, max_iter: int,
              bland: bool = False) -> tuple[int, bool]:
     """Minimize by pivoting; returns the iteration count and False on an unbounded ray."""
+    # views into the tableau, which every pivot updates in place
+    cost = tab[-1, :-1]
+    body = tab[:-1, :-1]
+    rhs = tab[:-1, -1]
+    # a reduced cost is negative when it is at most this, i.e. below -tol
+    neg_bound = np.nextafter(-tol, -np.inf)
     it = 0
     stall = 0
     while True:
-        cost = tab[-1, :-1]
-        neg = np.flatnonzero(cost < -tol)
-        if neg.size == 0:
-            return it, True
         if bland:
-            enter = int(neg[0])
+            neg = cost <= neg_bound
+            enter = int(neg.argmax())
+            if not neg[enter]:
+                return it, True
         else:
-            worst = cost[neg].min()
-            enter = int(neg[cost[neg] <= worst + 1e-15][0])
-        col = tab[:-1, enter]
-        rows = np.flatnonzero(col > tol)
+            # Dantzig pricing: the smallest index within 1e-15 of the most negative cost
+            worst = float(cost[cost.argmin()])
+            if not worst <= neg_bound:
+                return it, True
+            enter = int((cost <= min(worst + 1e-15, neg_bound)).argmax())
+        col = body[:, enter]
+        rows = (col > tol).nonzero()[0]
         if rows.size == 0:
             return it, False
+        piv = col[rows]
         # floor at zero so round-off negatives cannot win the ratio test
-        rhs = np.maximum(tab[rows, -1], 0.0)
-        ratios = rhs / col[rows]
+        room = np.maximum(rhs[rows], 0.0)
+        ratios = room / piv
         if bland:
             best = ratios.min()
             tied = rows[ratios <= best * (1.0 + 1e-12) + 1e-300]
-            leave = int(tied[np.argmin(basis[tied])])
+            leave = int(tied[basis[tied].argmin()])
         else:
             # Harris two-pass test: the relaxed step bound caps how far any
             # row can be driven negative, then the largest pivot element
             # among the admissible rows keeps the update well conditioned
-            slack_allow = RATIO_TIE_TOL * (1.0 + np.abs(rhs))
-            theta_max = np.min((rhs + slack_allow) / col[rows])
-            cand = rows[ratios <= theta_max]
-            leave = int(cand[np.argmax(col[cand])])
-        obj_before = tab[-1, -1]
+            theta_max = ((room + RATIO_TIE_TOL * (1.0 + room)) / piv).min()
+            admissible = (ratios <= theta_max).nonzero()[0]
+            leave = int(rows[admissible[piv[admissible].argmax()]])
+        obj_before = float(tab[-1, -1])
         _pivot(tab, basis, leave, enter)
         # degenerate stretches trip the Bland fallback
-        if abs(tab[-1, -1] - obj_before) <= 1e-13 * (1.0 + abs(obj_before)):
+        if abs(float(tab[-1, -1]) - obj_before) <= 1e-13 * (1.0 + abs(obj_before)):
             stall += 1
             if stall > STALL_LIMIT:
                 bland = True
         else:
             stall = 0
-        rhs = tab[:-1, -1]
-        clamp = -1e-10 * (1.0 + float(np.max(rhs, initial=0.0)))
-        rhs[(rhs < 0.0) & (rhs > clamp)] = 0.0
+        if rhs.min() < 0.0:
+            clamp = -1e-10 * (1.0 + max(float(rhs.max()), 0.0))
+            rhs[(rhs < 0.0) & (rhs > clamp)] = 0.0
         it += 1
         if it > max_iter:
             raise NumericError(f"simplex: iteration limit {max_iter} exceeded")

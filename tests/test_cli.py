@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -203,6 +204,29 @@ def test_simulate_report(capsys):
     assert "theoretical tr(G V): 7.84" in out
 
 
+def test_simulate_standard_error_belongs_to_the_second_moment(capsys, tmp_path):
+    g = np.array([[2.0, 0.3, 0.0], [0.3, 1.0, -0.2], [0.0, -0.2, 0.5]])
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"g": g.tolist()}))
+    code, out, _ = run(capsys, "simulate", "--model", "qubit-full", "--alpha", "0.6",
+                       "--samples", "20000", "--seed", "4", "--g-file", str(path), "--json")
+    assert code == 0
+    res = json.loads(out)["results"]
+    mean = np.array(res["empirical_mean"])
+    assert res["second_moment"] == pytest.approx(res["empirical_deviation"] + mean @ g @ mean,
+                                                 rel=1e-9)
+    # the sampled second moment lies within a few of its standard errors of the theory
+    assert abs(res["second_moment"] - res["theory_deviation"]) <= 5.0 * res["deviation_standard_error"]
+    # on the equatorial qubit every sample has the same quadratic form: the
+    # standard error is 0 and the second moment is the theoretical deviation
+    code, out, _ = run(capsys, "simulate", "--model", "qubit-equatorial", "--alpha", "0.3",
+                       "--samples", "20000", "--seed", "4", "--json")
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert res["deviation_standard_error"] == 0.0
+    assert res["second_moment"] == pytest.approx(res["theory_deviation"], rel=1e-12)
+
+
 def test_simulate_single_sample_flags_uncertainty(capsys):
     code, out, _ = run(capsys, "simulate", "--model", "qubit-full", "--alpha", "0.6",
                        "--samples", "1", "--seed", "2")
@@ -229,9 +253,10 @@ def test_module_entry_point_and_log_env():
     )
     assert proc.returncode == 0
     assert "dual optimum" in proc.stdout
-    # debug diagnostics land on stderr only
+    # debug diagnostics land on stderr only, with the round's LP and separation seconds
     assert "round 1" in proc.stderr
     assert "round 1" not in proc.stdout
+    assert re.search(r"round 1: .* warm=\w+ lp_s=\S+ sep_s=\S+", proc.stderr)
 
 
 def _model_doc(**overrides):
@@ -300,10 +325,10 @@ REPORT_SHAPES = {
                  ["worst min-eig of V - J^-1", "max |det witness - 1|"]),
     "simulate": (["--samples", "200"], True,
                  ["samples", "empirical_mean", "mean_standard_errors", "empirical_cov",
-                  "empirical_deviation", "deviation_standard_error", "theory_deviation",
-                  "wide_uncertainty"],
+                  "empirical_deviation", "second_moment", "deviation_standard_error",
+                  "theory_deviation", "wide_uncertainty"],
                  ["samples", "empirical mean", "mean standard err", "empirical tr(G V)",
-                  "theoretical tr(G V)"]),
+                  "empirical tr(G E[xx^T])", "theoretical tr(G V)"]),
 }
 
 

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -271,6 +272,44 @@ def test_qubit_certificate_separation_is_exact(alpha):
     assert -1e-12 <= res.min_value <= 1e-12
 
 
+def _qubit_kernel_engines():
+    """Square engines on qubit-full, qubit-equatorial and a rotated qubit, and a rectangular one."""
+    rng = np.random.default_rng(45)
+    engines = []
+    for m in (qubit(0.6), builtin_model("qubit-equatorial", alpha=0.3),
+              rotated(qubit(-0.9), haar_unitary(rng, 2))):
+        a = rng.normal(size=(m.n, m.n))
+        engines.append(_Engine(m, a @ a.T + 0.3 * np.eye(m.n), np.eye(m.n)))
+    # dual_submodel_inequality's engine: B is 3 x 2 on a two-dimensional subspace
+    m = qubit(0.6)
+    emb = np.eye(3)[:, [0, 2]]
+    proj = np.linalg.solve(emb.T @ m.fisher @ emb, emb.T @ m.fisher)
+    engines.append(_Engine(m, np.array([[1.5, 0.4], [0.4, 0.8]]), proj.T))
+    return engines
+
+
+@pytest.mark.parametrize("case", range(4), ids=["full", "equatorial", "rotated", "rectangular"])
+def test_qubit_kernels_match_the_generic_ones(case):
+    engine = _qubit_kernel_engines()[case]
+    rng = np.random.default_rng(46 + case)
+    n, m = engine.n_ops, engine.m
+    points = [(np.zeros((n, m)), np.zeros((2, 2))), (np.zeros((n, m)), -0.7 * np.eye(2))]
+    for scale in (0.1, 1.0, 10.0):
+        for _ in range(5):
+            h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            points.append((scale * rng.normal(size=(n, m)), scale * (h + h.conj().T) / 2.0))
+        points.append((scale * rng.normal(size=(n, m)), scale * np.eye(2)))
+    for b, s in points:
+        # the cover's witness expectations are fixed: its jumps are the generic ones
+        ys = engine._jumps(b, *engine.cover_coeffs)
+        assert np.array_equal(ys, engine._witness_jumps(b, engine.cover))
+        # lambda_min from Pauli coordinates against the residual matrices' eigenvalues
+        ys = np.vstack([ys, np.zeros((1, m)), rng.normal(size=(8, m))])
+        lam = engine.lam_min(b, s, ys)
+        ref = np.linalg.eigvalsh(engine.residuals(b, s, ys))[:, 0]
+        assert np.all(np.abs(lam - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+
 def commuting_model(d, n, seed):
     rng = np.random.default_rng(seed)
     rho = np.diag(0.8 * rng.dirichlet(np.ones(d)) + 0.2 / d).astype(complex)
@@ -359,6 +398,16 @@ def test_weak_duality_against_sampled_measurements(qubit_solution):
     min_dev = min(devs)
     for rec in sol.trace:
         assert rec.shifted_value <= min_dev + 1e-9
+
+
+@pytest.mark.parametrize("name", ["qubit-full", "qutrit-diagonal"])
+def test_trace_times_the_lp_and_the_separation(name):
+    m = qubit() if name == "qubit-full" else builtin_model(name, probs=(0.5, 0.25, 0.25))
+    start = time.perf_counter()
+    sol = solve_dual(m, np.eye(m.n), SolverConfig(feas_tol=1e-5, obj_tol=1e-5, max_rounds=40))
+    wall = time.perf_counter() - start
+    assert all(rec.lp_s >= 0.0 and rec.sep_s >= 0.0 for rec in sol.trace)
+    assert 0.0 < sum(rec.lp_s + rec.sep_s for rec in sol.trace) <= wall
 
 
 def test_unconverged_status_and_best_point():
@@ -627,6 +676,37 @@ def test_cut_rows_give_the_cut_value(case):
             # relative to the size of the terms whose difference is the cut value
             scale = abs(r) + np.abs(row) @ np.abs(z)
             assert abs(r - row @ z - expect) <= 1e-12 * scale
+
+
+def _reference_spread_select(points, candidate_idx, count, rel_dist):
+    cand = points[candidate_idx]
+    norms = np.linalg.norm(cand, axis=1)
+    free = np.ones(cand.shape[0], dtype=bool)
+    chosen = []
+    j = 0
+    while free.size and len(chosen) < count:
+        chosen.append(j)
+        dist = np.linalg.norm(cand[j + 1:] - cand[j], axis=1)
+        free[j + 1:] &= ~(dist <= rel_dist * (norms[j + 1:] + norms[j] + 1e-6))
+        nxt = np.flatnonzero(free[j + 1:])
+        if nxt.size == 0:
+            break
+        j += 1 + int(nxt[0])
+    return cand[chosen]
+
+
+def test_spread_select_matches_the_reference():
+    rng = np.random.default_rng(93)
+    for trial in range(60):
+        k, m = int(rng.integers(0, 40)), int(rng.integers(1, 5))
+        # clusters of nearby points, so that many candidates are skipped; at the
+        # smallest scales the absolute 1e-6 in the distance test decides
+        centres = rng.normal(size=(int(rng.integers(1, 6)), m)) * 10.0 ** rng.integers(-9, 3)
+        points = centres[rng.integers(0, len(centres), size=k)] * (1.0 + 0.01 * rng.normal(size=(k, m)))
+        idx = rng.permutation(k)[: int(rng.integers(0, k + 1))]
+        count = int(rng.integers(1, 12))
+        ours = qcr.dual._spread_select(points, idx, count, 0.01)
+        assert np.array_equal(ours, _reference_spread_select(points, idx, count, 0.01))
 
 
 def test_cut_store_skips_repeated_cuts():

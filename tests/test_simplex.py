@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import qcr.simplex
+from qcr.errors import NumericError
 from qcr.simplex import solve_boxed_lp
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
@@ -41,7 +43,8 @@ def test_free_variables_via_shifted_box():
 
 
 def test_beale_degenerate_example_terminates():
-    # classic cycling-prone instance; Bland fallback must terminate it
+    # classic cycling-prone instance for the primal method; run on the LP dual
+    # it takes 2 pivots, so it does not reach the Bland fallback
     c = [-0.75, 150.0, -0.02, 6.0]
     a = [
         [0.25, -60.0, -0.04, 9.0],
@@ -136,7 +139,7 @@ def _pivot_test_lps():
         elif kind == 3:
             b = rng.normal(size=mc)  # often infeasible
         lps.append((rng.normal(size=nv), a, b, lb, ub, bool(rng.integers(2))))
-    # Beale's cycling example drives the Bland fallback
+    # Beale's cycling example (2 pivots on the LP dual)
     lps.append(([-0.75, 150.0, -0.02, 6.0],
                 [[0.25, -60.0, -0.04, 9.0], [0.5, -90.0, -0.02, 3.0], [0.0, 0.0, 1.0, 0.0]],
                 [0.0, 0.0, 1.0], [0.0] * 4, [1e6] * 4, False))
@@ -181,11 +184,14 @@ def _remap(basis, keep, m):
     return None if np.any(start[rows] < 0) else start
 
 
-def test_warm_start_cutting_plane_sequences_match_cold_and_scipy():
-    # Kelley-like runs: cut an ellipsoid off at the LP optimum, add random
-    # tangent rows, retire slack rows, and restart from the remapped basis
+def _kelley_sequences(solve):
+    """Kelley-like runs: cut an ellipsoid off at the LP optimum, add random
+    tangent rows, retire slack rows, and restart from the remapped basis.
+
+    Each step calls ``solve(c, a, b, lb, ub, start)``, which returns the
+    warm-started result the next step is built from.
+    """
     rng = np.random.default_rng(41)
-    warm_calls = calls = 0
     for seq in range(6):
         nv = int(rng.integers(3, 9))
         axes = rng.uniform(0.3, 2.0, size=nv)
@@ -195,17 +201,7 @@ def test_warm_start_cutting_plane_sequences_match_cold_and_scipy():
         b = np.zeros(0)
         start = None
         for step in range(25):
-            ours = solve_boxed_lp(c, a, b, lb, ub, maximize=True, start=start)
-            cold = solve_boxed_lp(c, a, b, lb, ub, maximize=True)
-            ref = scipy_linprog(-c, A_ub=a if b.size else None, b_ub=b if b.size else None,
-                                bounds=list(zip(lb, ub)), method="highs")
-            calls += 1
-            warm_calls += ours.warm
-            assert ref.status == 0 and ours.status == cold.status == "optimal"
-            assert _close(ours.value, cold.value), (seq, step)
-            assert _close(ours.value, -ref.fun), (seq, step)
-            if b.size:
-                assert np.max(a @ ours.x - b) <= 1e-7
+            ours = solve(c, a, b, lb, ub, start)
             # the deepest cut at the optimum, plus random tangent rows
             x = ours.x
             dirs = [x / axes**2] + [rng.normal(size=nv) for _ in range(int(rng.integers(0, 10)))]
@@ -222,7 +218,27 @@ def test_warm_start_cutting_plane_sequences_match_cold_and_scipy():
                 keep = np.setdiff1d(np.arange(len(b)), drop)
                 start = _remap(start, keep, len(b))
                 a, b = a[keep], b[keep]
-    assert warm_calls >= 0.9 * (calls - 6)
+
+
+def test_warm_start_cutting_plane_sequences_match_cold_and_scipy():
+    warm = []
+
+    def solve(c, a, b, lb, ub, start):
+        ours = solve_boxed_lp(c, a, b, lb, ub, maximize=True, start=start)
+        cold = solve_boxed_lp(c, a, b, lb, ub, maximize=True)
+        ref = scipy_linprog(-c, A_ub=a if b.size else None, b_ub=b if b.size else None,
+                            bounds=list(zip(lb, ub)), method="highs")
+        warm.append(ours.warm)
+        step = len(warm)
+        assert ref.status == 0 and ours.status == cold.status == "optimal"
+        assert _close(ours.value, cold.value), step
+        assert _close(ours.value, -ref.fun), step
+        if b.size:
+            assert np.max(a @ ours.x - b) <= 1e-7
+        return ours
+
+    _kelley_sequences(solve)
+    assert sum(warm) >= 0.9 * (len(warm) - 6)
 
 
 def test_invalid_warm_starts_fall_back_to_the_box():
@@ -278,3 +294,127 @@ def test_rows_added_until_infeasible_are_reported_infeasible():
         assert ours.status == "optimal" and _close(ours.value, -ref.fun), step
         start = ours.basis
     pytest.fail("the rows never made the program infeasible")
+
+
+# -- pivot rule ------------------------------------------------------------------------
+
+def _reference_pivot(tab, basis, row, col):
+    tab[row] /= tab[row, col]
+    rates = tab[:, col].copy()
+    rates[row] = 0.0
+    tab -= np.outer(rates, tab[row])
+    tab[:, col] = 0.0
+    tab[row, col] = 1.0
+    basis[row] = col
+
+
+def _reference_iterate(tab, basis, tol, max_iter, bland=False):
+    """The pivot loop as first written, one NumPy call per step: the reference for ``_iterate``."""
+    it = 0
+    stall = 0
+    while True:
+        cost = tab[-1, :-1]
+        neg = np.flatnonzero(cost < -tol)
+        if neg.size == 0:
+            return it, True
+        if bland:
+            enter = int(neg[0])
+        else:
+            worst = cost[neg].min()
+            enter = int(neg[cost[neg] <= worst + 1e-15][0])
+        col = tab[:-1, enter]
+        rows = np.flatnonzero(col > tol)
+        if rows.size == 0:
+            return it, False
+        rhs = np.maximum(tab[rows, -1], 0.0)
+        ratios = rhs / col[rows]
+        if bland:
+            best = ratios.min()
+            tied = rows[ratios <= best * (1.0 + 1e-12) + 1e-300]
+            leave = int(tied[np.argmin(basis[tied])])
+        else:
+            slack_allow = qcr.simplex.RATIO_TIE_TOL * (1.0 + np.abs(rhs))
+            theta_max = np.min((rhs + slack_allow) / col[rows])
+            cand = rows[ratios <= theta_max]
+            leave = int(cand[np.argmax(col[cand])])
+        obj_before = tab[-1, -1]
+        _reference_pivot(tab, basis, leave, enter)
+        if abs(tab[-1, -1] - obj_before) <= 1e-13 * (1.0 + abs(obj_before)):
+            stall += 1
+            if stall > qcr.simplex.STALL_LIMIT:
+                bland = True
+        else:
+            stall = 0
+        rhs = tab[:-1, -1]
+        clamp = -1e-10 * (1.0 + float(np.max(rhs, initial=0.0)))
+        rhs[(rhs < 0.0) & (rhs > clamp)] = 0.0
+        it += 1
+        if it > max_iter:
+            raise NumericError(f"simplex: iteration limit {max_iter} exceeded")
+
+
+def _forced_bland(loop):
+    return lambda tab, basis, tol, max_iter, bland=False: loop(tab, basis, tol, max_iter, True)
+
+
+# Dantzig pricing with the usual fallback, Bland's rule throughout, and a
+# fallback that trips after two degenerate pivots
+PIVOT_MODES = ["dantzig", "bland", "early-stall"]
+
+
+def _same_as_reference(monkeypatch, mode, *args, **kwargs):
+    """Solve with the pivot loop and with the reference loop; both must agree bit for bit."""
+    loops = [qcr.simplex._iterate, _reference_iterate]
+    if mode == "bland":
+        loops = [_forced_bland(loop) for loop in loops]
+    results = []
+    with monkeypatch.context() as patch:
+        if mode == "early-stall":
+            patch.setattr(qcr.simplex, "STALL_LIMIT", 1)
+        for loop in loops:
+            patch.setattr(qcr.simplex, "_iterate", loop)
+            results.append(solve_boxed_lp(*args, **kwargs))
+    ours, ref = results
+    assert (ours.status, ours.iterations, ours.warm) == (ref.status, ref.iterations, ref.warm)
+    if ref.x is None:
+        assert ours.x is None and ours.basis is None
+    else:
+        assert np.array_equal(ours.basis, ref.basis)
+        assert np.array_equal(ours.x, ref.x)
+        assert ours.value == ref.value
+    return ours
+
+
+def _degenerate_lps():
+    """Zero objective entries and rows tight at box corners: many pivots leave the objective as is."""
+    rng = np.random.default_rng(7)
+    lps = []
+    for trial in range(40):
+        nv = int(rng.integers(3, 8))
+        mc = int(rng.integers(4, 20))
+        c = rng.normal(size=nv)
+        c[rng.random(nv) < 0.5] = 0.0
+        a = rng.normal(size=(mc, nv))
+        a[rng.random(size=a.shape) < 0.4] = 0.0
+        b = np.abs(a) @ np.ones(nv) * rng.integers(0, 2, size=mc)
+        lps.append((c, a, b, -np.ones(nv), np.ones(nv), bool(trial % 2)))
+    return lps
+
+
+@pytest.mark.parametrize("mode", PIVOT_MODES)
+def test_pivot_loop_matches_the_reference_on_the_pivot_test_lps(monkeypatch, mode):
+    for c, a, b, lb, ub, mx in _pivot_test_lps() + _degenerate_lps():
+        _same_as_reference(monkeypatch, mode, c, a, b, lb, ub, maximize=mx)
+
+
+@pytest.mark.parametrize("mode", PIVOT_MODES)
+def test_pivot_loop_matches_the_reference_on_warm_started_sequences(monkeypatch, mode):
+    warm = []
+
+    def solve(c, a, b, lb, ub, start):
+        ours = _same_as_reference(monkeypatch, mode, c, a, b, lb, ub, maximize=True, start=start)
+        warm.append(ours.warm)
+        return ours
+
+    _kelley_sequences(solve)
+    assert sum(warm) >= 0.9 * (len(warm) - 6)
