@@ -70,14 +70,18 @@ def _parse_complex_matrix(node, dim: int, name: str) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def load_model_file(path: str) -> StatisticalModel:
+def _read_json(path: str, kind: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValidationError(f"cannot read model file {path}: {exc}") from exc
+        raise ValidationError(f"cannot read {kind} file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"model file {path} is not valid JSON: {exc}") from exc
+        raise ValidationError(f"{kind} file {path} is not valid JSON: {exc}") from exc
+
+
+def load_model_file(path: str) -> StatisticalModel:
+    doc = _read_json(path, "model")
     if not isinstance(doc, dict) or "dim" not in doc:
         raise ValidationError("model file: expected an object with 'dim', 'rho' and 'tangent'")
     try:
@@ -97,13 +101,7 @@ def load_model_file(path: str) -> StatisticalModel:
 
 
 def load_weight_file(path: str, n: int) -> np.ndarray:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read weight file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"weight file {path} is not valid JSON: {exc}") from exc
+    doc = _read_json(path, "weight")
     if not isinstance(doc, dict) or "g" not in doc:
         raise ValidationError("weight file: expected an object with a 'g' matrix")
     return require_weight_matrix(_float_array(doc["g"], "weight file 'g'"), n)

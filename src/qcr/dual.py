@@ -68,6 +68,8 @@ class DualPoint:
             raise ValidationError("dual point: a must be a finite real matrix")
         if s.ndim != 2 or s.shape[0] != s.shape[1]:
             raise ValidationError("dual point: S must be square")
+        if not np.all(np.isfinite(s)):
+            raise ValidationError("dual point: S must be finite")
         if np.max(np.abs(s - s.conj().T)) > 1e-10:
             raise ValidationError("dual point: S must be Hermitian")
         object.__setattr__(self, "a", a)
@@ -82,11 +84,14 @@ class Cut:
     v: np.ndarray
 
     def __post_init__(self):
+        xi = np.asarray(self.xi, dtype=float)
         v = np.asarray(self.v, dtype=complex)
+        if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(v))):
+            raise ValidationError("cut: tangent point and witness vector must be finite")
         nrm = float(np.linalg.norm(v))
         if abs(nrm - 1.0) > 1e-12:
             raise ValidationError(f"cut: witness vector norm {nrm!r} is not 1")
-        object.__setattr__(self, "xi", np.asarray(self.xi, dtype=float))
+        object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "v", v)
 
 
@@ -287,11 +292,10 @@ class _CutStore:
 
     Each field is an array with spare capacity that doubles when it runs
     out; the live cuts are its first ``n`` entries, in registration order.
+    Witnesses are stored normalized.
     """
 
     FIELDS = ("rows", "rhs", "age", "xi", "v")
-    XI_TOL = 1e-9  # relative distance within which two tangent points coincide
-    V_TOL = 1e-10  # two unit witnesses coincide when |<v', v>| >= 1 - V_TOL
 
     def __init__(self, nv: int, m: int, d: int, capacity: int = 64):
         self.n = 0
@@ -308,13 +312,8 @@ class _CutStore:
             arr[at: at + idx.size] = arr[idx]
         self.n = at + idx.size
 
-    def add(self, xi: np.ndarray, v: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> int:
-        """Append the cuts that repeat no stored cut and no earlier added cut of the batch.
-
-        A cut (xi, v) repeats (xi', v') when |xi - xi'| <= XI_TOL (1 + |xi|)
-        and |<v', v>| >= 1 - V_TOL, so a witness's phase does not matter.
-        Witnesses are stored normalized. Returns the number of cuts added.
-        """
+    def add(self, xi: np.ndarray, v: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> None:
+        """Append a batch of cuts."""
         n, k = self.n, xi.shape[0]
         if n + k > self.rhs.size:
             cap = self.rhs.size
@@ -325,28 +324,12 @@ class _CutStore:
                 new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
                 new[:n] = old[:n]
                 setattr(self, name, new)
-        v = v / np.linalg.norm(v, axis=1, keepdims=True)
         self.rows[n: n + k] = rows
         self.rhs[n: n + k] = rhs
         self.age[n: n + k] = 0
         self.xi[n: n + k] = xi
-        self.v[n: n + k] = v
-        # pairs (i, j) where cut j of the batch repeats entry i, stored or of the batch
-        i, j = np.nonzero(np.abs(self.v[: n + k].conj() @ v.T) >= 1.0 - self.V_TOL)
-        close = (np.linalg.norm(self.xi[i] - xi[j], axis=1)
-                 <= self.XI_TOL * (1.0 + np.linalg.norm(xi[j], axis=1)))
-        i, j = i[close], j[close]
-        keep = np.ones(k, dtype=bool)
-        keep[j[i < n]] = False
-        inner = (i >= n) & (i - n < j)
-        # a repeat of an earlier batch cut counts only if that cut was kept
-        for later, earlier in sorted(zip(j[inner], i[inner] - n)):
-            keep[later] = keep[later] and not keep[earlier]
-        if np.all(keep):
-            self.n = n + k
-        else:
-            self._gather(n + np.flatnonzero(keep), n)
-        return self.n - n
+        self.v[n: n + k] = v / np.linalg.norm(v, axis=1, keepdims=True)
+        self.n = n + k
 
     def drop_stale(self, x: np.ndarray, floor: int) -> np.ndarray | None:
         """Age the cuts slack at x and retire those slack for 8 consecutive rounds.
@@ -609,7 +592,7 @@ class _Engine:
 
         bad = np.argsort(all_vals)
         bad = bad[all_vals[bad] < -config.feas_tol]
-        violated = _spread_select(all_pts, bad[:2048], MAX_CUTS_PER_ROUND, 0.01)
+        violated = _spread_select(all_pts, bad, MAX_CUTS_PER_ROUND, 0.01)
         return _Separation(min_value, best[0].copy(), violated)
 
     # -- main loop ----------------------------------------------------------
@@ -637,6 +620,11 @@ class _Engine:
             lp_s = time.perf_counter() - tick
             if lp.status != "optimal":
                 raise NumericError(f"cutting-plane relaxation came back {lp.status}")
+            # no pivot after a round that added cuts: each new cut's reduced cost,
+            # its value at the unchanged point, is within the pivot tolerance of
+            # feasibility, so the relaxation cannot move
+            if lp.warm and lp.iterations == 0 and trace and trace[-1].sep_min < -config.feas_tol:
+                break
             b, s = self.unpack(lp.x)
             tick = time.perf_counter()
             sep = self.separate(b, s, rng, config)
@@ -676,8 +664,7 @@ class _Engine:
             take[:, 0] = True
             qi, ii = np.nonzero(take)
             ys, vs = sep.violated[qi], vecs[qi, :, ii]
-            if not store.add(ys, vs, *self.cut_rows(ys, vs)):
-                break  # every violated cut is in the LP already: the relaxation cannot move
+            store.add(ys, vs, *self.cut_rows(ys, vs))
 
         # feasibility restoration: shift S along the identity until a boosted
         # sweep finds no violation beyond RESTORE_TOL. On qubits the sweep's
@@ -709,8 +696,10 @@ def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -
 
     ``status`` is ``"converged"`` when a round's sweep found no violation
     and the relaxation value moved less than ``obj_tol``, and
-    ``"unconverged"`` when the round cap was reached or a round added no
-    new cut. ``trace`` holds one :class:`DualRound` per round.
+    ``"unconverged"`` when the round cap was reached or the warm re-solve
+    after a round that added cuts made no pivot (every new cut within the
+    simplex's pivot tolerance of feasibility, so the relaxation cannot
+    move). ``trace`` holds one :class:`DualRound` per round.
     """
     cfg = config or SolverConfig()
     gm = require_weight_matrix(g, model.n)

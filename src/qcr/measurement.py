@@ -164,28 +164,29 @@ def deviation(model: StatisticalModel, g, p: RandomMeasurement, tol: float = UNB
     return float(np.trace(gm @ covariance(model, p, tol)))
 
 
+def _whitened_weight_sqrt(model: StatisticalModel, g) -> np.ndarray:
+    """(J^{-1/2} G J^{-1/2})^{1/2} for a validated weight matrix G."""
+    gm = require_weight_matrix(g, model.n)
+    return sqrt_psd(model.fisher_isqrt @ gm @ model.fisher_isqrt).real
+
+
 def optimal_weight_operator(model: StatisticalModel, g) -> np.ndarray:
     """Positive J-self-adjoint W with W^T J W = G.
 
     W = J^{-1/2} (J^{-1/2} G J^{-1/2})^{1/2} J^{1/2}; its eigenvalues are those
     of the whitened weight's square root, all positive for PD G.
     """
-    gm = require_weight_matrix(g, model.n)
-    mid = sqrt_psd(model.fisher_isqrt @ gm @ model.fisher_isqrt).real
-    return model.fisher_isqrt @ mid @ model.fisher_sqrt
+    return model.fisher_isqrt @ _whitened_weight_sqrt(model, g) @ model.fisher_sqrt
 
 
 def optimal_random_bound(model: StatisticalModel, g) -> float:
     """Smallest deviation achievable by random measurements: (tr W)^2."""
-    gm = require_weight_matrix(g, model.n)
-    mid = sqrt_psd(model.fisher_isqrt @ gm @ model.fisher_isqrt).real
-    return float(np.trace(mid)) ** 2
+    return float(np.trace(_whitened_weight_sqrt(model, g))) ** 2
 
 
 def _normalized_weight_eigensystem(model: StatisticalModel, g) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (summing to 1) and J-orthonormal eigenvectors of W / tr W."""
-    gm = require_weight_matrix(g, model.n)
-    mid = sqrt_psd(model.fisher_isqrt @ gm @ model.fisher_isqrt).real
+    mid = _whitened_weight_sqrt(model, g)
     lam, u = np.linalg.eigh(mid)
     if lam[0] <= 0.0:
         raise NotPsdError("weight operator has a non-positive eigenvalue")

@@ -139,8 +139,7 @@ def _tableau(mat: np.ndarray, cost: np.ndarray, cols: np.ndarray, rhs_floor: flo
     return np.vstack([body, reduced])
 
 
-def solve_boxed_lp(c, a_ub, b_ub, lb, ub, *, maximize: bool = False, tol: float = PIVOT_TOL,
-                   start=None) -> LpResult:
+def solve_boxed_lp(c, a_ub, b_ub, lb, ub, *, maximize: bool = False, start=None) -> LpResult:
     """Optimize c @ x subject to a_ub @ x <= b_ub and lb <= x <= ub, through the LP dual.
 
     Both bound vectors must be finite. ``start`` takes the ``basis`` of an
@@ -177,7 +176,7 @@ def solve_boxed_lp(c, a_ub, b_ub, lb, ub, *, maximize: bool = False, tol: float 
         if tab is None:
             return None
         cols = cols.copy()
-        iters, bounded = _iterate(tab, cols, tol, max_iter, bland)
+        iters, bounded = _iterate(tab, cols, PIVOT_TOL, max_iter, bland)
         if not bounded:
             return cols, None, iters
         return cols, np.clip(ub - tab[-1, m: m + nv], lb, ub), iters

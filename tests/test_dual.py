@@ -421,18 +421,24 @@ def test_unconverged_status_and_best_point():
     assert sol.optimum <= 7.84 + 1e-6
 
 
-@pytest.mark.parametrize("g", [np.eye(3), np.diag([1.0, 2.0, 0.7])], ids=["identity", "diagonal"])
-def test_round_without_new_cut_ends_unconverged(g):
-    # tolerances this tight leave the solver with violated cuts that are all
-    # in the LP already: the round adds nothing and the loop stops early
-    m = qubit()
+@pytest.mark.parametrize("case", ["identity", "diagonal", "qutrit"])
+def test_round_without_new_cut_ends_unconverged(case):
+    # tolerances this tight leave the solver with violated cuts that the LP
+    # prices within its pivot tolerance: the warm re-solve after they are
+    # added makes no pivot, and the loop stops early
+    if case == "qutrit":
+        m, g = builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25)), np.eye(2)
+        # a commuting model: the classical bound tr(G J^-1) is attained
+        exact = float(np.trace(g @ m.fisher_inverse))
+    else:
+        m, g = qubit(), np.eye(3) if case == "identity" else np.diag([1.0, 2.0, 0.7])
+        exact = optimal_random_bound(m, g)
     cfg = SolverConfig(feas_tol=1e-10, obj_tol=1e-10, seed=0)
     sol = solve_dual(m, g, cfg)
-    exact = optimal_random_bound(m, g)
     assert sol.status == "unconverged"
     assert sol.rounds < cfg.max_rounds
     assert len(sol.trace) == sol.rounds
-    assert sol.certified
+    assert sol.certified == (m.dim == 2)
     assert sol.optimum <= exact <= sol.lp_value
 
 
@@ -709,51 +715,38 @@ def test_spread_select_matches_the_reference():
         assert np.array_equal(ours, _reference_spread_select(points, idx, count, 0.01))
 
 
-def test_cut_store_skips_repeated_cuts():
+def test_cut_store_grows_past_its_capacity():
     engine = _Engine(qubit(0.6), np.eye(3), np.eye(3))
     rng = np.random.default_rng(92)
-    ys = rng.normal(size=(4, 3))
-    vs = unit_witnesses(rng, 4, 2)
+    ys = rng.normal(size=(7, 3))
+    vs = unit_witnesses(rng, 7, 2)
+    rows, rhs = engine.cut_rows(ys, vs)
     store = _CutStore(engine.nv, engine.m, engine.d, capacity=2)
-    assert store.add(ys, vs, *engine.cut_rows(ys, vs)) == 4
-    rows_before = store.rows[: store.n].copy()
-
-    # the stored cuts again, with rephased witnesses: no row is added
-    phased = vs * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(4, 1)))
-    assert store.add(ys, phased, *engine.cut_rows(ys, phased)) == 0
-    assert store.n == 4
-    assert np.array_equal(store.rows[:4], rows_before)
-
-    # a batch that repeats its own cut adds one row; a new witness at a stored
-    # point is not a repeat
-    y2 = np.vstack([ys[:1] + 5.0, ys[:1] + 5.0 + 1e-12, ys[:1]])
-    v2 = np.vstack([vs[:1], vs[:1] * 1j, [vs[0, 1].conj(), -vs[0, 0].conj()]])
-    assert store.add(y2, v2, *engine.cut_rows(y2, v2)) == 2
-    assert np.allclose(store.xi[4:6], y2[[0, 2]])
-    assert np.allclose(store.v[4:6], v2[[0, 2]])
-
-    # a batch cut that repeats only a dropped repeat of a stored cut is kept:
-    # xi = 0.8e-9 e1 repeats the stored xi = 0, xi = 1.6e-9 e1 repeats only that
-    store = _CutStore(engine.nv, engine.m, engine.d)
-    v0 = vs[:1]
-    store.add(np.zeros((1, 3)), v0, *engine.cut_rows(np.zeros((1, 3)), v0))
-    y3 = np.array([[0.8e-9, 0.0, 0.0], [1.6e-9, 0.0, 0.0]])
-    v3 = np.vstack([v0, v0])
-    assert store.add(y3, v3, *engine.cut_rows(y3, v3)) == 1
-    assert np.array_equal(store.xi[1], y3[1])
+    # the first batch doubles the capacity once, the second once more
+    store.add(ys[:4], vs[:4], rows[:4], rhs[:4])
+    store.add(ys[4:], vs[4:], rows[4:], rhs[4:])
+    assert store.n == 7 and store.rhs.size == 8
+    assert np.array_equal(store.rows[:7], rows)
+    assert np.array_equal(store.rhs[:7], rhs)
+    assert np.array_equal(store.xi[:7], ys)
+    assert np.allclose(store.v[:7], vs, rtol=0.0, atol=1e-15)
+    assert np.all(store.age[:7] == 0)
 
 
 def test_solved_cuts_are_unit_and_distinct(qubit_solution):
-    _, res = qubit_solution
-    xi = np.array([c.xi for c in res.cuts])
-    v = np.array([c.v for c in res.cuts])
-    assert len(res.cuts) > 20
-    assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12)
-    dist = np.linalg.norm(xi[:, None, :] - xi[None, :, :], axis=2)
-    close = dist <= _CutStore.XI_TOL * (1.0 + np.linalg.norm(xi, axis=1))[None, :]
-    same = close & (np.abs(v.conj() @ v.T) >= 1.0 - _CutStore.V_TOL)
-    np.fill_diagonal(same, False)
-    assert not np.any(same)
+    # criterion 05's qutrit solve
+    qutrit = builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25))
+    criterion_05 = solve_dual(qutrit, np.eye(2), SolverConfig(feas_tol=1e-5, obj_tol=1e-5, seed=0))
+    for res in (qubit_solution[1], criterion_05):
+        xi = np.array([c.xi for c in res.cuts])
+        v = np.array([c.v for c in res.cuts])
+        assert len(res.cuts) > 20
+        assert np.all(np.abs(np.linalg.norm(v, axis=1) - 1.0) <= 1e-12)
+        dist = np.linalg.norm(xi[:, None, :] - xi[None, :, :], axis=2)
+        close = dist <= 1e-9 * (1.0 + np.linalg.norm(xi, axis=1))[None, :]
+        same = close & (np.abs(v.conj() @ v.T) >= 1.0 - 1e-10)
+        np.fill_diagonal(same, False)
+        assert not np.any(same)
 
 
 # -- cut and config types ---------------------------------------------------------------
@@ -761,6 +754,18 @@ def test_solved_cuts_are_unit_and_distinct(qubit_solution):
 def test_cut_requires_unit_witness():
     with pytest.raises(ValidationError):
         Cut(np.zeros(3), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_dual_points_and_cuts_are_rejected(bad):
+    with pytest.raises(ValidationError):
+        DualPoint(np.eye(3), [[bad, 0.0], [0.0, -1.0]])
+    with pytest.raises(ValidationError):
+        DualPoint(np.eye(3), [[-1.0, 1j * bad], [-1j * bad, -1.0]])
+    with pytest.raises(ValidationError):
+        Cut(np.zeros(3), [bad, 0.0])
+    with pytest.raises(ValidationError):
+        Cut(np.array([0.0, bad, 0.0]), [1.0, 0.0])
 
 
 def test_config_validation():

@@ -418,3 +418,40 @@ def test_pivot_loop_matches_the_reference_on_warm_started_sequences(monkeypatch,
 
     _kelley_sequences(solve)
     assert sum(warm) >= 0.9 * (len(warm) - 6)
+
+
+# -- pivot-loop tolerances on hand-built tableaux ------------------------------------
+#
+# Rows are constraint rows then the reduced-cost row; columns are the dual
+# variables then the right-hand side. Column 0 enters on the first pivot.
+
+
+def test_pivot_clamps_only_round_off_negatives():
+    # row 0 leaves (rhs 3 after the pivot); rows 1 and 2 have no entry in the
+    # entering column, so the pivot leaves their right-hand sides as they are
+    tiny, small = -1e-12, -1e-9 * (1.0 + 3.0)
+    tab = np.zeros((4, 5))
+    tab[:3, 1:4] = np.eye(3)
+    tab[0, 0], tab[0, -1] = 1.0, 3.0
+    tab[1, -1], tab[2, -1] = tiny, small
+    tab[-1, 0] = -1.0
+    basis = np.array([1, 2, 3])
+    assert qcr.simplex._iterate(tab, basis, qcr.simplex.PIVOT_TOL, 100) == (1, True)
+    assert list(basis) == [0, 2, 3]
+    # the clamp zeroes a negative within 1e-10 (1 + max rhs) and keeps a larger one
+    assert tab[1, -1] == 0.0
+    assert tab[2, -1] == small
+
+
+@pytest.mark.parametrize("gap, leaving", [(5e-13, 1), (1e-9, 0)], ids=["tie", "no-tie"])
+def test_bland_ratio_ties_leave_by_the_smaller_basis_label(gap, leaving):
+    # row 0 (basis label 5) has ratio 1, row 1 (label 2) ratio 1 + gap: within the
+    # 1e-12 relative tie tolerance the smaller label leaves, beyond it the exact minimum
+    tab = np.zeros((3, 7))
+    tab[0, 5] = tab[1, 2] = 1.0
+    tab[0, 0] = tab[1, 0] = 1.0
+    tab[0, -1], tab[1, -1] = 1.0, 1.0 + gap
+    tab[-1, 0] = -1.0
+    basis = np.array([5, 2])
+    assert qcr.simplex._iterate(tab, basis, qcr.simplex.PIVOT_TOL, 100, bland=True) == (1, True)
+    assert basis[leaving] == 0
