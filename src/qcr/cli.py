@@ -64,6 +64,8 @@ def _parse_complex_matrix(node, dim: int, name: str) -> np.ndarray:
     im = _float_array(node["im"], f"{name}.im")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(f"{name}: expected {dim}x{dim} 're' and 'im' blocks")
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
+        raise ValidationError(f"{name}: entries must be finite")
     h = re + 1j * im
     if np.max(np.abs(h - h.conj().T)) > FILE_HERMITIAN_TOL:
         raise ValidationError(f"{name}: matrix is not Hermitian within {FILE_HERMITIAN_TOL:.0e}")

@@ -36,6 +36,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -97,6 +98,17 @@ class Cut:
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of the cutting-plane solve.
+
+    The tolerances are absolute, in units of the objective tr(G V): scaling
+    G by c calls for tolerances scaled by c. ``feas_tol`` is the largest
+    residual violation a sweep accepts, ``obj_tol`` the change of the
+    relaxation value below which it counts as static. A ``feas_tol`` below
+    the simplex's pivot tolerance ``qcr.simplex.PIVOT_TOL`` (1e-9) buys
+    nothing: the LP does not act on cuts violated by less, and the solve
+    ends ``"unconverged"`` at the round in which it converges at 1e-9.
+    """
+
     feas_tol: float = 1e-7
     obj_tol: float = 1e-6
     max_rounds: int = 200
@@ -287,72 +299,47 @@ def _hermitian(mats: np.ndarray) -> np.ndarray:
     return (mats + np.swapaxes(mats, -1, -2).conj()) / 2.0
 
 
-class _CutStore:
-    """The LP rows of the registered cuts, with their right-hand sides, ages and (xi, v).
+class _Cuts(NamedTuple):
+    """The live cuts in registration order; cut i is row i of the LP.
 
-    Each field is an array with spare capacity that doubles when it runs
-    out; the live cuts are its first ``n`` entries, in registration order.
-    Witnesses are stored normalized.
+    Each field holds exactly one entry per live cut: the LP row and
+    right-hand side, the number of consecutive rounds the cut has been
+    slack, and its tangent point xi and normalized witness v.
     """
 
-    FIELDS = ("rows", "rhs", "age", "xi", "v")
+    rows: np.ndarray
+    rhs: np.ndarray
+    age: np.ndarray
+    xi: np.ndarray
+    v: np.ndarray
 
-    def __init__(self, nv: int, m: int, d: int, capacity: int = 64):
-        self.n = 0
-        self.rows = np.empty((capacity, nv))
-        self.rhs = np.empty(capacity)
-        self.age = np.empty(capacity, dtype=np.intp)
-        self.xi = np.empty((capacity, m))
-        self.v = np.empty((capacity, d), dtype=complex)
+    def extend(self, new: _Cuts) -> _Cuts:
+        """These cuts followed by ``new``."""
+        return _Cuts(*map(np.concatenate, zip(self, new)))
 
-    def _gather(self, idx: np.ndarray, at: int) -> None:
-        """Move the entries ``idx`` (ascending, none below ``at``) to ``at``, ``at + 1``, ..."""
-        for name in self.FIELDS:
-            arr = getattr(self, name)
-            arr[at: at + idx.size] = arr[idx]
-        self.n = at + idx.size
+    def retire(self, x: np.ndarray, floor: int,
+               basis: np.ndarray) -> tuple[_Cuts, np.ndarray | None]:
+        """Age the cuts at x and drop those slack for 8 consecutive rounds.
 
-    def add(self, xi: np.ndarray, v: np.ndarray, rows: np.ndarray, rhs: np.ndarray) -> None:
-        """Append a batch of cuts."""
-        n, k = self.n, xi.shape[0]
-        if n + k > self.rhs.size:
-            cap = self.rhs.size
-            while cap < n + k:
-                cap *= 2
-            for name in self.FIELDS:
-                old = getattr(self, name)
-                new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-                new[:n] = old[:n]
-                setattr(self, name, new)
-        self.rows[n: n + k] = rows
-        self.rhs[n: n + k] = rhs
-        self.age[n: n + k] = 0
-        self.xi[n: n + k] = xi
-        self.v[n: n + k] = v / np.linalg.norm(v, axis=1, keepdims=True)
-        self.n = n + k
-
-    def drop_stale(self, x: np.ndarray, floor: int) -> np.ndarray | None:
-        """Age the cuts slack at x and retire those slack for 8 consecutive rounds.
-
-        Nothing ages while at most ``floor`` cuts are stored. Returns the
-        indices of the kept cuts when any was retired, else None.
+        Nothing ages while at most ``floor`` cuts are live. Returns the kept
+        cuts and the LP basis with its cut labels renumbered to match; a
+        basic cut is tight and never dropped, but were one dropped the basis
+        comes back as None and the next LP starts cold.
         """
-        n = self.n
-        if n <= floor:
-            return None
-        rhs = self.rhs[:n]
-        age = self.age[:n]
-        tight = rhs - self.rows[:n] @ x <= 1e-8 * (1.0 + np.abs(rhs))
-        age[tight] = 0
-        age[~tight] += 1
-        keep = np.flatnonzero(age < 8)
-        if keep.size == n:
-            return None
-        self._gather(keep, 0)
-        return keep
-
-    def cuts(self) -> list[Cut]:
-        return [Cut(xi, v) for xi, v in zip(self.xi[: self.n].copy(), self.v[: self.n].copy())]
+        if self.rhs.size <= floor:
+            return self, basis
+        tight = self.rhs - self.rows @ x <= 1e-8 * (1.0 + np.abs(self.rhs))
+        cuts = self._replace(age=np.where(tight, 0, self.age + 1))
+        keep = cuts.age < 8
+        if keep.all():
+            return cuts, basis
+        basic = basis >= 0
+        if not keep[basis[basic]].all():
+            basis = None
+        else:
+            basis = basis.copy()
+            basis[basic] = (np.cumsum(keep) - 1)[basis[basic]]
+        return _Cuts(*(field[keep] for field in cuts)), basis
 
 
 class _Engine:
@@ -450,6 +437,12 @@ class _Engine:
         rows[:, self.nB + self.d: self.nB + self.d + self.npair] = 2.0 * z.real
         rows[:, self.nB + self.d + self.npair:] = -2.0 * z.imag
         return rows, np.einsum("qi,ij,qj->q", ys, self.G, ys) * rv
+
+    def new_cuts(self, ys: np.ndarray, vs: np.ndarray) -> _Cuts:
+        """Fresh cuts, one per (ys[q], vs[q]), their witnesses stored normalized."""
+        rows, rhs = self.cut_rows(ys, vs)
+        return _Cuts(rows, rhs, np.zeros(rhs.size, dtype=np.intp), ys,
+                     vs / np.linalg.norm(vs, axis=1, keepdims=True))
 
     # -- separation ---------------------------------------------------------
 
@@ -599,13 +592,11 @@ class _Engine:
 
     def solve(self, config: SolverConfig) -> DualResult:
         rng = np.random.default_rng(config.seed)
-        store = _CutStore(self.nv, self.m, self.d)
         # seed cuts: every eigenvector of rho at xi = 0 and at +-basis[i]
         seeds = np.vstack([np.zeros((1, self.m)),
                            np.stack([self.basis, -self.basis], axis=1).reshape(-1, self.m)])
-        ys = np.repeat(seeds, self.d, axis=0)
-        vs = np.tile(self.rho_vecs.T, (seeds.shape[0], 1))
-        store.add(ys, vs, *self.cut_rows(ys, vs))
+        cuts = self.new_cuts(np.repeat(seeds, self.d, axis=0),
+                             np.tile(self.rho_vecs.T, (seeds.shape[0], 1)))
 
         trace: list[DualRound] = []
         prev_lp: float | None = None
@@ -615,8 +606,8 @@ class _Engine:
         start = None  # the last round's basis; appended cut rows leave it valid
         for rnd in range(1, config.max_rounds + 1):
             tick = time.perf_counter()
-            lp = solve_boxed_lp(self.cvec, store.rows[: store.n], store.rhs[: store.n],
-                                self.lb, self.ub, maximize=True, start=start)
+            lp = solve_boxed_lp(self.cvec, cuts.rows, cuts.rhs, self.lb, self.ub,
+                                maximize=True, start=start)
             lp_s = time.perf_counter() - tick
             if lp.status != "optimal":
                 raise NumericError(f"cutting-plane relaxation came back {lp.status}")
@@ -631,7 +622,7 @@ class _Engine:
             sep_s = time.perf_counter() - tick
             # every cut is one LP row
             rec = DualRound(lp.value, sep.min_value, lp.value + min(0.0, sep.min_value) * self.d,
-                            store.n, lp.iterations, lp.warm, lp_s, sep_s)
+                            cuts.rhs.size, lp.iterations, lp.warm, lp_s, sep_s)
             trace.append(rec)
             log.debug("round %d: lp=%.9g sep=%.3e rows=%d pivots=%d warm=%s lp_s=%.3g sep_s=%.3g",
                       rnd, rec.lp_value, rec.sep_min, rec.rows, rec.pivots, rec.warm,
@@ -644,27 +635,15 @@ class _Engine:
                     status = "converged"
                     break
                 continue
-            n_cuts = store.n
             # retire cuts slack for many consecutive rounds; the LP stays small
-            keep = store.drop_stale(lp.x, 4 * self.nv)
-            if keep is not None:
-                # renumber the basic cut rows; a basic cut is tight, so it is
-                # never retired, but if one were the next round starts cold
-                new_row = np.full(n_cuts, -1)
-                new_row[keep] = np.arange(keep.size)
-                basic = start >= 0
-                start = start.copy()
-                start[basic] = new_row[start[basic]]
-                if np.any(start[basic] < 0):
-                    start = None
+            cuts, start = cuts.retire(lp.x, 4 * self.nv, start)
             # at each violated point, a cut for the lowest eigenvector and for
             # every other one below -feas_tol
             w, vecs = np.linalg.eigh(_hermitian(self.residuals(b, s, sep.violated)))
             take = w < -config.feas_tol
             take[:, 0] = True
             qi, ii = np.nonzero(take)
-            ys, vs = sep.violated[qi], vecs[qi, :, ii]
-            store.add(ys, vs, *self.cut_rows(ys, vs))
+            cuts = cuts.extend(self.new_cuts(sep.violated[qi], vecs[qi, :, ii]))
 
         # feasibility restoration: shift S along the identity until a boosted
         # sweep finds no violation beyond RESTORE_TOL. On qubits the sweep's
@@ -672,15 +651,15 @@ class _Engine:
         # certifies the result
         feasibility = 0.0
         for _ in range(5):
-            sep = self.separate(b, s, rng, config, boost=3, live=store.v[: store.n])
+            sep = self.separate(b, s, rng, config, boost=3, live=cuts.v)
             feasibility = sep.min_value
             if sep.min_value >= -RESTORE_TOL:
                 break
             s = s + (sep.min_value - RESTORE_TOL) * np.eye(self.d)
         optimum = float(self.cvec[: self.nB] @ b.ravel()) + float(np.trace(s).real)
         certified = self.d == 2 and feasibility >= -RESTORE_TOL
-        return DualResult(optimum, DualPoint(b, s), store.cuts(), len(trace), status,
-                          trace[-1].lp_value, feasibility, certified, trace)
+        return DualResult(optimum, DualPoint(b, s), list(map(Cut, cuts.xi, cuts.v)), len(trace),
+                          status, trace[-1].lp_value, feasibility, certified, trace)
 
 
 def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -> DualResult:

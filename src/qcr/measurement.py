@@ -86,7 +86,12 @@ def mix_measurements(parts, weights) -> RandomMeasurement:
 
 
 def require_weight_matrix(g, n: int | None = None) -> np.ndarray:
-    """Validate a symmetric positive-definite weight matrix."""
+    """Validate a symmetric positive-definite weight matrix.
+
+    Both tests are relative, so they accept any positive multiple of a valid
+    weight: symmetry within ``WEIGHT_SYM_TOL * max|G|``, and a smallest
+    eigenvalue above ``WEIGHT_PD_TOL`` times the largest one in magnitude.
+    """
     m = np.asarray(g, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValidationError(f"weight matrix: expected square, got shape {m.shape}")
@@ -94,11 +99,15 @@ def require_weight_matrix(g, n: int | None = None) -> np.ndarray:
         raise ValidationError(f"weight matrix: expected {n}x{n}, got {m.shape[0]}x{m.shape[0]}")
     if not np.all(np.isfinite(m)):
         raise ValidationError("weight matrix: entries must be finite")
-    if np.max(np.abs(m - m.T)) > WEIGHT_SYM_TOL:
+    if np.max(np.abs(m - m.T)) > WEIGHT_SYM_TOL * np.max(np.abs(m)):
         raise ValidationError("weight matrix: not symmetric")
     m = (m + m.T) / 2.0
-    if np.linalg.eigvalsh(m)[0] <= WEIGHT_PD_TOL:
-        raise NotPsdError("weight matrix: not positive definite")
+    w = np.linalg.eigvalsh(m)
+    scale = abs(w[-1])
+    if w[0] <= WEIGHT_PD_TOL * scale:
+        ratio = w[0] / scale if scale else 0.0
+        raise NotPsdError(f"weight matrix: not positive definite (lambda_min / |lambda_max| "
+                          f"= {ratio:.3e}, needs > {WEIGHT_PD_TOL:.0e})")
     return m
 
 

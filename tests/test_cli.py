@@ -85,6 +85,29 @@ def test_bound_non_pd_weight_exits_2(capsys, tmp_path):
     assert "weight" in err
 
 
+def test_weight_scale_does_not_decide_validity(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"g": (1e-11 * np.eye(3)).tolist()}))
+    code, out, _ = run(capsys, "bound", "--model", "qubit-full", "--alpha", "0.6",
+                       "--g-file", str(path))
+    assert code == 0
+    assert "7.84e-11" in out
+
+
+@pytest.mark.parametrize("big", [1e11, 1e300])
+@pytest.mark.parametrize("command", [["bound"], ["dual", "--seed", "0"],
+                                     ["simulate", "--samples", "100", "--seed", "0"]],
+                         ids=["bound", "dual", "simulate"])
+def test_ill_conditioned_weight_exits_2(capsys, tmp_path, command, big):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"g": np.diag([1.0, 1.0, big]).tolist()}))
+    code, out, err = run(capsys, *command, "--model", "qubit-full", "--alpha", "0.6",
+                         "--g-file", str(path))
+    assert code == 2
+    assert err.startswith("error: weight matrix: not positive definite")
+    assert out == ""
+
+
 def test_check_random_exit_codes(capsys):
     code, out, _ = run(capsys, "check-random", "--model", "qubit-full", "--alpha", "0.3")
     assert code == 0
@@ -277,6 +300,11 @@ MALFORMED_NUMBERS = [
     ("model-dim-inf", ["info"], "model", _model_doc(dim=float("inf"))),
     ("model-entry", ["info"], "model",
      _model_doc(rho={"re": [[0.8, "x"], [0.0, 0.2]], "im": [[0.0, 0.0], [0.0, 0.0]]})),
+    ("model-rho-inf", ["info"], "model",
+     _model_doc(rho={"re": [[0.8, 0.0], [0.0, float("inf")]], "im": [[0.0, 0.0], [0.0, 0.0]]})),
+    ("model-tangent-inf", ["info"], "model",
+     _model_doc(tangent=[{"re": [[0.0, 0.5], [0.5, 0.0]],
+                          "im": [[0.0, float("-inf")], [float("inf"), 0.0]]}])),
     ("g-entry", ["bound", "--model", "qubit-full", "--alpha", "0.6"], "g",
      {"g": [[1.0, 0.0, 0.0], [0.0, "one", 0.0], [0.0, 0.0, 1.0]]}),
     ("g-ragged", ["bound", "--model", "qubit-full", "--alpha", "0.6"], "g",

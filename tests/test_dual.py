@@ -9,7 +9,7 @@ from qcr.dual import (
     Cut,
     DualPoint,
     SolverConfig,
-    _CutStore,
+    _Cuts,
     _Engine,
     _sphere_min,
     dual_submodel_inequality,
@@ -623,7 +623,7 @@ def test_warm_started_relaxations_match_cold_solves(monkeypatch, name):
     assert sum(warm_flags) >= 0.9 * len(warm_flags)
 
 
-# -- cut rows and the cut store ------------------------------------------------------
+# -- cut rows and the live cuts ------------------------------------------------------
 
 def random_model(d, n, rng):
     a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -715,22 +715,70 @@ def test_spread_select_matches_the_reference():
         assert np.array_equal(ours, _reference_spread_select(points, idx, count, 0.01))
 
 
-def test_cut_store_grows_past_its_capacity():
+def test_new_cuts_hold_their_rows_and_normalized_witnesses():
     engine = _Engine(qubit(0.6), np.eye(3), np.eye(3))
     rng = np.random.default_rng(92)
     ys = rng.normal(size=(7, 3))
     vs = unit_witnesses(rng, 7, 2)
     rows, rhs = engine.cut_rows(ys, vs)
-    store = _CutStore(engine.nv, engine.m, engine.d, capacity=2)
-    # the first batch doubles the capacity once, the second once more
-    store.add(ys[:4], vs[:4], rows[:4], rhs[:4])
-    store.add(ys[4:], vs[4:], rows[4:], rhs[4:])
-    assert store.n == 7 and store.rhs.size == 8
-    assert np.array_equal(store.rows[:7], rows)
-    assert np.array_equal(store.rhs[:7], rhs)
-    assert np.array_equal(store.xi[:7], ys)
-    assert np.allclose(store.v[:7], vs, rtol=0.0, atol=1e-15)
-    assert np.all(store.age[:7] == 0)
+    # two batches, the second with scaled witnesses, appended in order
+    cuts = engine.new_cuts(ys[:4], vs[:4]).extend(engine.new_cuts(ys[4:], 3.0 * vs[4:]))
+    assert cuts.rhs.size == 7
+    assert np.array_equal(cuts.rows[:4], rows[:4])
+    assert np.array_equal(cuts.rhs[:4], rhs[:4])
+    # rows and right-hand sides are those of the witnesses as given
+    rows_scaled, rhs_scaled = engine.cut_rows(ys[4:], 3.0 * vs[4:])
+    assert np.array_equal(cuts.rows[4:], rows_scaled)
+    assert np.array_equal(cuts.rhs[4:], rhs_scaled)
+    assert np.array_equal(cuts.xi, ys)
+    assert np.allclose(cuts.v, vs, rtol=0.0, atol=1e-15)
+    assert np.all(cuts.age == 0)
+
+
+def _hand_cuts(rhs, age):
+    """Cuts on two LP variables with rows (1, 1): at x = (0.5, 0.5) rhs 1 is tight, rhs 2 slack."""
+    k = len(rhs)
+    return _Cuts(np.ones((k, 2)), np.array(rhs, dtype=float), np.array(age, dtype=np.intp),
+                 np.arange(k, dtype=float)[:, None], unit_witnesses(np.random.default_rng(k), k, 2))
+
+
+X_HALF = np.array([0.5, 0.5])
+
+
+def test_retire_ages_nothing_at_or_below_the_floor():
+    cuts = _hand_cuts([2.0] * 5, [7] * 5)
+    basis = np.array([0, -1])
+    kept, new_basis = cuts.retire(X_HALF, 5, basis)
+    assert kept is cuts and new_basis is basis
+    # one cut more than the floor: every slack cut ages, and all reach 8
+    kept, new_basis = cuts.retire(X_HALF, 4, basis)
+    assert kept.rhs.size == 0 and new_basis is None
+
+
+def test_retire_keeps_order_and_renumbers_the_basis():
+    rhs = [2.0, 1.0, 2.0, 2.0, 1.0, 2.0, 2.0, 1.0]
+    age = [7, 7, 3, 7, 0, 0, 7, 5]
+    cuts = _hand_cuts(rhs, age)
+    # slack cuts age by one and go at 8; tight ones reset to 0
+    keep = np.array([False, True, True, False, True, True, False, True])
+    basis = np.array([7, -2, 1, 5, -4, 4])
+    kept, new_basis = cuts.retire(X_HALF, 0, basis)
+    assert np.array_equal(kept.age, [0, 4, 0, 1, 0])
+    for name in ("rows", "rhs", "xi", "v"):
+        assert np.array_equal(getattr(kept, name), getattr(cuts, name)[keep])
+    assert np.array_equal(new_basis[basis < 0], basis[basis < 0])
+    for old, new in zip(basis[basis >= 0], new_basis[basis >= 0]):
+        assert np.array_equal(kept.xi[new], cuts.xi[old])
+        assert np.array_equal(kept.v[new], cuts.v[old])
+    # nothing retired: ages move, the basis is returned as it was
+    again, same = kept.retire(X_HALF, 0, new_basis)
+    assert np.array_equal(again.age, [0, 5, 0, 2, 0]) and same is new_basis
+
+
+def test_retiring_a_basic_row_drops_the_basis():
+    cuts = _hand_cuts([1.0, 2.0, 1.0], [0, 7, 0])
+    kept, new_basis = cuts.retire(X_HALF, 0, np.array([2, 1, -1]))
+    assert kept.rhs.size == 2 and new_basis is None
 
 
 def test_solved_cuts_are_unit_and_distinct(qubit_solution):

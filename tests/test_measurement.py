@@ -68,6 +68,25 @@ def test_weight_matrix_validation():
         require_weight_matrix(np.eye(3), 2)
 
 
+def test_weight_matrix_validation_is_scale_free():
+    for scale in (1e-11, 1.0, 1e200):
+        g = scale * np.array([[2.0, 0.5], [0.5, 1.0]])
+        assert np.array_equal(require_weight_matrix(g), g)
+        with pytest.raises(NotPsdError, match="lambda_min"):
+            require_weight_matrix(scale * np.diag([1.0, 1e-11]))
+        with pytest.raises(NotPsdError):
+            require_weight_matrix(scale * np.diag([1.0, -1e-3]))
+        with pytest.raises(ValidationError, match="symmetric"):
+            require_weight_matrix(scale * np.array([[1.0, 1e-9], [0.0, 1.0]]))
+    # a relative 1e-13 asymmetry is rounding, and the mean is kept
+    g = require_weight_matrix(1e-11 * np.array([[1.0, 1e-13], [0.0, 1.0]]))
+    assert g[0, 1] == g[1, 0]
+    with pytest.raises(NotPsdError):
+        require_weight_matrix(np.zeros((2, 2)))
+    with pytest.raises(NotPsdError):
+        require_weight_matrix(np.diag([1.0, 1.0, 1e300]))
+
+
 # -- unbiasedness ------------------------------------------------------------
 
 def test_optimal_measurement_is_locally_unbiased():
