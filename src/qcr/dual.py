@@ -26,14 +26,15 @@ of the final restoration add a pool of structured witnesses (eigenvectors
 of rho and of S, and the witnesses of the live cuts). The restoration
 shifts the last point along the identity until a boosted sweep finds no
 violation, which a sweep can still miss. Together with the monotone LP
-relaxation value the optimum brackets the true optimum to within roughly
-feas_tol * d.
+relaxation value the optimum brackets the true optimum, and the width of
+that final bracket alone decides whether the solve converged.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -41,8 +42,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .measurement import optimal_weight_operator, require_weight_matrix
-from .model import PAULI_1, PAULI_2, PAULI_3, StatisticalModel, build_model
+from .measurement import optimal_weight_operator, require_int, require_weight_matrix
+from .model import PAULI_1, PAULI_2, PAULI_3, StatisticalModel, _as_coords, build_model
 from .randomness import is_random_model
 from .simplex import solve_boxed_lp
 
@@ -102,11 +103,12 @@ class SolverConfig:
 
     The tolerances are absolute, in units of the objective tr(G V): scaling
     G by c calls for tolerances scaled by c. ``feas_tol`` is the largest
-    residual violation a sweep accepts, ``obj_tol`` the change of the
-    relaxation value below which it counts as static. A ``feas_tol`` below
-    the simplex's pivot tolerance ``qcr.simplex.PIVOT_TOL`` (1e-9) buys
-    nothing: the LP does not act on cuts violated by less, and the solve
-    ends ``"unconverged"`` at the round in which it converges at 1e-9.
+    residual violation a sweep accepts; a solve is converged when its final
+    bracket, relaxation value minus restored optimum, is at most
+    ``obj_tol + d * feas_tol``. A ``feas_tol`` below the simplex's pivot
+    tolerance ``qcr.simplex.PIVOT_TOL`` (1e-9) buys nothing: the LP does not
+    act on cuts violated by less, and the solve stops at the round in which
+    it stops at 1e-9, with the same bracket against a narrower band.
     """
 
     feas_tol: float = 1e-7
@@ -115,12 +117,11 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0 for t in (self.feas_tol, self.obj_tol)):
-            raise ValidationError("solver tolerances must be finite and positive")
-        if self.max_rounds < 1:
-            raise ValidationError("max_rounds must be at least 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
+        for t in (self.feas_tol, self.obj_tol):
+            if not (isinstance(t, numbers.Real) and math.isfinite(t) and t > 0):
+                raise ValidationError(f"solver tolerances must be finite and positive, got {t!r}")
+        require_int(self.max_rounds, "max_rounds", 1)
+        require_int(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -171,9 +172,7 @@ class DualResult:
 def residual(model: StatisticalModel, g, dual: DualPoint, xi) -> np.ndarray:
     """Constraint operator (xi G xi) rho - S - a(xi) at one tangent point."""
     gm = require_weight_matrix(g, model.n)
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (model.n,):
-        raise ValidationError(f"xi: expected {model.n} coordinates, got {xi.shape}")
+    xi = _as_coords(xi, model.n, "xi")
     if dual.a.shape != (model.n, model.n):
         raise ValidationError(f"dual point: a must be {model.n}x{model.n}")
     if dual.s.shape != (model.dim, model.dim):
@@ -599,8 +598,6 @@ class _Engine:
                              np.tile(self.rho_vecs.T, (seeds.shape[0], 1)))
 
         trace: list[DualRound] = []
-        prev_lp: float | None = None
-        status = "unconverged"
         b = np.zeros((self.n_ops, self.m))
         s = np.zeros((self.d, self.d), dtype=complex)
         start = None  # the last round's basis; appended cut rows leave it valid
@@ -611,10 +608,11 @@ class _Engine:
             lp_s = time.perf_counter() - tick
             if lp.status != "optimal":
                 raise NumericError(f"cutting-plane relaxation came back {lp.status}")
-            # no pivot after a round that added cuts: each new cut's reduced cost,
-            # its value at the unchanged point, is within the pivot tolerance of
-            # feasibility, so the relaxation cannot move
-            if lp.warm and lp.iterations == 0 and trace and trace[-1].sep_min < -config.feas_tol:
+            # no pivot after a round that added cuts (every warm round follows
+            # one): each new cut's reduced cost, its value at the unchanged
+            # point, is within the pivot tolerance of feasibility, so the
+            # relaxation cannot move
+            if lp.warm and lp.iterations == 0:
                 break
             b, s = self.unpack(lp.x)
             tick = time.perf_counter()
@@ -627,16 +625,10 @@ class _Engine:
             log.debug("round %d: lp=%.9g sep=%.3e rows=%d pivots=%d warm=%s lp_s=%.3g sep_s=%.3g",
                       rnd, rec.lp_value, rec.sep_min, rec.rows, rec.pivots, rec.warm,
                       rec.lp_s, rec.sep_s)
-            obj_static = prev_lp is not None and abs(prev_lp - lp.value) < config.obj_tol
-            prev_lp = lp.value
-            start = lp.basis
             if sep.min_value >= -config.feas_tol:
-                if obj_static:
-                    status = "converged"
-                    break
-                continue
+                break
             # retire cuts slack for many consecutive rounds; the LP stays small
-            cuts, start = cuts.retire(lp.x, 4 * self.nv, start)
+            cuts, start = cuts.retire(lp.x, 4 * self.nv, lp.basis)
             # at each violated point, a cut for the lowest eigenvector and for
             # every other one below -feas_tol
             w, vecs = np.linalg.eigh(_hermitian(self.residuals(b, s, sep.violated)))
@@ -657,9 +649,12 @@ class _Engine:
                 break
             s = s + (sep.min_value - RESTORE_TOL) * np.eye(self.d)
         optimum = float(self.cvec[: self.nB] @ b.ravel()) + float(np.trace(s).real)
+        lp_value = trace[-1].lp_value
+        converged = lp_value - optimum <= config.obj_tol + self.d * config.feas_tol
         certified = self.d == 2 and feasibility >= -RESTORE_TOL
         return DualResult(optimum, DualPoint(b, s), list(map(Cut, cuts.xi, cuts.v)), len(trace),
-                          status, trace[-1].lp_value, feasibility, certified, trace)
+                          "converged" if converged else "unconverged", lp_value, feasibility,
+                          certified, trace)
 
 
 def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -> DualResult:
@@ -673,12 +668,13 @@ def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -
     tolerance (``feasibility``), and ``certified`` is False. ``lp_value`` is
     the final relaxation value bounding the true optimum from above.
 
-    ``status`` is ``"converged"`` when a round's sweep found no violation
-    and the relaxation value moved less than ``obj_tol``, and
-    ``"unconverged"`` when the round cap was reached or the warm re-solve
-    after a round that added cuts made no pivot (every new cut within the
-    simplex's pivot tolerance of feasibility, so the relaxation cannot
-    move). ``trace`` holds one :class:`DualRound` per round.
+    The rounds stop when a sweep finds no violation beyond ``feas_tol``,
+    when the round cap is reached, or when the warm re-solve after a round
+    that added cuts makes no pivot (every new cut within the simplex's
+    pivot tolerance of feasibility, so the relaxation cannot move).
+    Whichever ends them, ``status`` is ``"converged"`` if and only if
+    ``lp_value - optimum <= obj_tol + d * feas_tol``, and ``"unconverged"``
+    otherwise. ``trace`` holds one :class:`DualRound` per round.
     """
     cfg = config or SolverConfig()
     gm = require_weight_matrix(g, model.n)

@@ -284,10 +284,11 @@ def shift_measurement(p: RandomMeasurement, x) -> RandomMeasurement:
     return RandomMeasurement(tuple(atoms))
 
 
-def _require_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
-    return int(seed)
+def require_int(value, name: str, minimum: int = 0) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below ``minimum`` is an input error."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def sample_frontier(model: StatisticalModel, count: int, seed: int) -> list[np.ndarray]:
@@ -297,9 +298,8 @@ def sample_frontier(model: StatisticalModel, count: int, seed: int) -> list[np.n
     and returns its frontier covariance W^{-1} J^{-1}. Every sample dominates
     the inverse Fisher matrix.
     """
-    if count < 1:
-        raise ValidationError("count must be at least 1")
-    rng = np.random.default_rng(_require_seed(seed))
+    count = require_int(count, "count", 1)
+    rng = np.random.default_rng(require_int(seed, "seed"))
     n = model.n
     out = []
     for _ in range(count):
@@ -385,9 +385,8 @@ def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: 
     given (seed, samples). When ``weight`` is given, the first two moments
     of the per-sample quadratic form are accumulated as well.
     """
-    if samples < 1:
-        raise ValidationError("samples must be at least 1")
-    seed = _require_seed(seed)
+    samples = require_int(samples, "samples", 1)
+    seed = require_int(seed, "seed")
     rep = is_locally_unbiased(model, p)
     if not rep:
         raise UnbiasednessError("simulate requires a locally unbiased measurement")

@@ -23,8 +23,11 @@ from qcr.errors import ValidationError
 from qcr.measurement import (
     deviation,
     optimal_random_bound,
+    optimal_random_measurement,
     optimal_weight_operator,
+    sample_frontier,
     sample_locally_unbiased,
+    simulate,
 )
 from qcr.model import PAULI_1, PAULI_2, PAULI_3, build_model, builtin_model, cotangent_operator
 from qcr.operators import DensityOperator
@@ -542,7 +545,7 @@ def test_random_qutrit_between_classical_and_random_bounds():
 @pytest.mark.parametrize("d, n, seed, rounds", [
     pytest.param(d, n, seed, 60, id=f"{d}-{n}-{seed}")
     for d, n, seed in [(3, 2, 100), (3, 2, 101), (3, 2, 102), (4, 3, 100), (4, 3, 101), (4, 3, 102)]
-] + [pytest.param(4, 3, seed, 200, id=f"4-3-{seed}-200") for seed in (4, 5)])
+] + [pytest.param(4, 3, seed, 200, id=f"4-3-{seed}-200") for seed in (4, 5, 12)])
 def test_commuting_model_bracket_is_sound(d, n, seed, rounds):
     m = commuting_model(d, n, seed)
     g = np.eye(n)
@@ -552,6 +555,9 @@ def test_commuting_model_bracket_is_sound(d, n, seed, rounds):
     exact = float(np.trace(g @ m.fisher_inverse))
     assert sol.optimum <= exact + cfg.obj_tol
     assert sol.lp_value >= exact - cfg.obj_tol
+    # the final bracket alone decides the status (seed 12 ends on a clean
+    # sweep with a bracket wider than the band)
+    assert (sol.status == "converged") == (sol.lp_value - sol.optimum <= cfg.obj_tol + d * cfg.feas_tol)
 
 
 def haar_unitary(rng, d):
@@ -814,6 +820,23 @@ def test_non_finite_dual_points_and_cuts_are_rejected(bad):
         Cut(np.zeros(3), [bad, 0.0])
     with pytest.raises(ValidationError):
         Cut(np.array([0.0, bad, 0.0]), [1.0, 0.0])
+    with pytest.raises(ValidationError):
+        residual(qubit(), np.eye(3), DualPoint(np.eye(3), -np.eye(2)), [0.0, bad, 0.0])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m: SolverConfig(max_rounds=2.5), id="max_rounds-float"),
+    pytest.param(lambda m: SolverConfig(max_rounds="3"), id="max_rounds-str"),
+    pytest.param(lambda m: SolverConfig(seed=1.5), id="seed-float"),
+    pytest.param(lambda m: SolverConfig(seed=True), id="seed-bool"),
+    pytest.param(lambda m: SolverConfig(feas_tol="1e-3"), id="feas_tol-str"),
+    pytest.param(lambda m: simulate(m, optimal_random_measurement(m, np.eye(3)), 2.5, 0),
+                 id="simulate-samples-float"),
+    pytest.param(lambda m: sample_frontier(m, 2.5, 0), id="sample_frontier-count-float"),
+])
+def test_non_integer_counts_and_seeds_are_input_errors(call):
+    with pytest.raises(ValidationError):
+        call(qubit())
 
 
 def test_config_validation():
