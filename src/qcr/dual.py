@@ -749,7 +749,7 @@ def dual_submodel_inequality(model: StatisticalModel, subspace_indices, g_sub,
     solves it with the projected objective.
     """
     cfg = config or SolverConfig()
-    idx = [int(i) for i in subspace_indices]
+    idx = [require_int(i, "subspace index") for i in subspace_indices]
     if len(set(idx)) != len(idx) or not idx:
         raise ValidationError("subspace indices must be distinct and nonempty")
     if any(i < 0 or i >= model.n for i in idx):

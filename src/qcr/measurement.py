@@ -22,7 +22,6 @@ WEIGHT_SUM_TOL = 1e-12
 WEIGHT_PD_TOL = 1e-10
 WEIGHT_SYM_TOL = 1e-12
 UNBIASED_TOL = 1e-8
-SIMULATE_BLOCK = 1 << 16  # samples drawn per block: memory stays flat in the sample count
 
 
 @dataclass(frozen=True)
@@ -291,28 +290,26 @@ def require_int(value, name: str, minimum: int = 0) -> int:
     return int(value)
 
 
-def sample_frontier(model: StatisticalModel, count: int, seed: int) -> list[np.ndarray]:
+def sample_frontier(model: StatisticalModel, count: int, seed: int) -> np.ndarray:
     """Sample covariance matrices on the random-measurement Pareto frontier.
 
-    Draws a random positive J-self-adjoint operator normalized to unit trace
-    and returns its frontier covariance W^{-1} J^{-1}. Every sample dominates
+    Each sample is a random positive J-self-adjoint operator W normalized to
+    unit trace, mapped to its frontier covariance W^{-1} J^{-1}; the samples
+    come back stacked as one ``(count, n, n)`` array. Every sample dominates
     the inverse Fisher matrix.
     """
     count = require_int(count, "count", 1)
     rng = np.random.default_rng(require_int(seed, "seed"))
     n = model.n
-    out = []
-    for _ in range(count):
-        a = rng.normal(size=(n, n))
-        pos = a @ a.T
-        # small ridge keeps the frontier point numerically well conditioned
-        pos += (1e-3 * np.trace(pos) / n) * np.eye(n)
-        pos /= np.trace(pos)
-        w, u = np.linalg.eigh(pos)
-        inv = (u / w) @ u.T
-        v = model.fisher_isqrt @ inv @ model.fisher_isqrt
-        out.append((v + v.T) / 2.0)
-    return out
+    a = rng.normal(size=(count, n, n))
+    pos = a @ a.transpose(0, 2, 1)
+    # small ridge keeps the frontier point numerically well conditioned
+    pos += (1e-3 * np.trace(pos, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    pos /= np.trace(pos, axis1=1, axis2=2)[:, None, None]
+    w, u = np.linalg.eigh(pos)
+    inv = (u / w[:, None, :]) @ u.transpose(0, 2, 1)
+    v = model.fisher_isqrt @ inv @ model.fisher_isqrt
+    return (v + v.transpose(0, 2, 1)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -345,10 +342,9 @@ def sample_locally_unbiased(model: StatisticalModel, rng: np.random.Generator,
     unbiasedness constraint by least squares. Infeasible draws are rejected.
     """
     n = model.n
-    k = n + 2 if n_atoms is None else int(n_atoms)
-    if k < n:
-        raise ValidationError(f"need at least {n} atoms to satisfy the rank condition")
-    for _ in range(max_tries):
+    # fewer than n atoms cannot meet the rank condition
+    k = n + 2 if n_atoms is None else require_int(n_atoms, "n_atoms", n)
+    for _ in range(require_int(max_tries, "max_tries", 1)):
         weights = rng.dirichlet(np.ones(k))
         if np.any(weights < 1e-3):
             continue
@@ -379,61 +375,47 @@ def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: 
              weight=None) -> SimulationResult:
     """Monte Carlo run of a locally unbiased random measurement.
 
-    Atoms are drawn from the mixture weights and outcomes from the Born
-    probabilities of each observable's eigenbasis, in blocks of
-    ``SIMULATE_BLOCK`` samples from one generator. Results are deterministic
-    given (seed, samples). When ``weight`` is given, the first two moments
-    of the per-sample quadratic form are accumulated as well.
+    The reported moments depend on the samples only through how often each
+    (atom, outcome) pair occurs, so those counts are drawn directly: a
+    multinomial over the mixture weights, then one over each atom's Born
+    probabilities. The joint counts are Multinomial(samples, w_j p_jo), as
+    for sample-by-sample draws, and cost and memory do not depend on
+    ``samples`` (at most 2**63 - 1). Results are deterministic given
+    (seed, samples). When ``weight`` is given, the first two moments of the
+    per-sample quadratic form are reported as well.
     """
     samples = require_int(samples, "samples", 1)
+    if samples > np.iinfo(np.int64).max:
+        raise ValidationError(f"samples must be below 2**63, got {samples}")
     seed = require_int(seed, "seed")
     rep = is_locally_unbiased(model, p)
     if not rep:
         raise UnbiasednessError("simulate requires a locally unbiased measurement")
     gm = None if weight is None else require_weight_matrix(weight, model.n)
 
-    k = len(p.atoms)
     weights = np.array([a.weight for a in p.atoms])
-    weights = weights / weights.sum()
-    dirs = np.stack([a.direction for a in p.atoms])
-    shifts = np.stack([a.shift for a in p.atoms])
-    outcome_vals, outcome_probs = [], []
+    rng = np.random.default_rng(seed)
+    atom_counts = rng.multinomial(samples, weights / weights.sum())
     rho = model.rho.matrix
-    for a in p.atoms:
+    est, counts = [], []
+    for a, cnt in zip(p.atoms, atom_counts):
         dec = eigh(cotangent_operator(model, a.observable), name="observable")
         probs = np.einsum("ij,jk,ki->i", dec.eigenvectors.conj().T, rho, dec.eigenvectors).real
         probs = np.clip(probs, 0.0, None)
-        outcome_vals.append(dec.eigenvalues)
-        outcome_probs.append(probs / probs.sum())
+        counts.append(rng.multinomial(cnt, probs / probs.sum()))
+        est.append(dec.eigenvalues[:, None] * a.direction + a.shift)
+    est = np.concatenate(est)  # the estimate of every (atom, outcome) pair
+    freq = np.concatenate(counts) / samples
 
-    rng = np.random.default_rng(seed)
-    s1 = np.zeros(model.n)
-    s2 = np.zeros((model.n, model.n))
-    su = 0.0
-    suu = 0.0
-    for done in range(0, samples, SIMULATE_BLOCK):
-        m = min(SIMULATE_BLOCK, samples - done)
-        idx = rng.choice(k, size=m, p=weights)
-        vals = np.empty(m)
-        for j in range(k):
-            mask = idx == j
-            cnt = int(mask.sum())
-            if cnt:
-                vals[mask] = rng.choice(outcome_vals[j], size=cnt, p=outcome_probs[j])
-        est = vals[:, None] * dirs[idx] + shifts[idx]
-        s1 += est.sum(axis=0)
-        s2 += est.T @ est
-        if gm is not None:
-            u = np.einsum("si,ij,sj->s", est, gm, est)
-            su += float(u.sum())
-            suu += float((u * u).sum())
-
-    mean = s1 / samples
-    second = s2 / samples
-    cov = second - np.outer(mean, mean)
+    mean = freq @ est
+    cov = (est.T * freq) @ est - np.outer(mean, mean)
     quad_mean = quad_se = None
     if gm is not None:
-        quad_mean = su / samples
-        quad_var = max(suu / samples - quad_mean**2, 0.0)
+        u = np.einsum("si,ij,sj->s", est, gm, est)
+        # offsets from one outcome's value keep the cancellation small, and
+        # the variance is exactly 0 when every outcome has the same form
+        du = u - u[0]
+        quad_mean = float(u[0] + freq @ du)
+        quad_var = max(float(freq @ (du * du) - (freq @ du) ** 2), 0.0)
         quad_se = math.sqrt(quad_var / samples)
     return SimulationResult(mean, (cov + cov.T) / 2.0, samples, quad_mean, quad_se)

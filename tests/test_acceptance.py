@@ -161,7 +161,7 @@ def test_criterion_09_pareto_property():
         a = rng.normal(size=(3, 3))
         g = a @ a.T + 0.25 * np.eye(3)
         q = optimal_covariance(m, g)
-        pool = samples + [q]  # the image point itself keeps the check non-vacuous
+        pool = [*samples, q]  # the image point itself keeps the check non-vacuous
         for v in pool:
             if np.linalg.eigvalsh(q - v)[0] >= -1e-8:
                 checked += 1

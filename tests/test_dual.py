@@ -833,6 +833,15 @@ def test_non_finite_dual_points_and_cuts_are_rejected(bad):
     pytest.param(lambda m: simulate(m, optimal_random_measurement(m, np.eye(3)), 2.5, 0),
                  id="simulate-samples-float"),
     pytest.param(lambda m: sample_frontier(m, 2.5, 0), id="sample_frontier-count-float"),
+    pytest.param(lambda m: simulate(m, optimal_random_measurement(m, np.eye(3)), 2**63, 0),
+                 id="simulate-samples-2e63"),
+    pytest.param(lambda m: dual_submodel_inequality(m, [0.7], np.eye(1)), id="subspace-index-float"),
+    pytest.param(lambda m: dual_submodel_inequality(m, [True], np.eye(1)), id="subspace-index-bool"),
+    pytest.param(lambda m: dual_submodel_inequality(m, ["x"], np.eye(1)), id="subspace-index-str"),
+    pytest.param(lambda m: sample_locally_unbiased(m, np.random.default_rng(0), n_atoms=4.7),
+                 id="n_atoms-float"),
+    pytest.param(lambda m: sample_locally_unbiased(m, np.random.default_rng(0), max_tries=2.5),
+                 id="max_tries-float"),
 ])
 def test_non_integer_counts_and_seeds_are_input_errors(call):
     with pytest.raises(ValidationError):

@@ -3,7 +3,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qcr import measurement
 from qcr.errors import NotPsdError, UnbiasednessError, ValidationError
 from qcr.measurement import (
     Atom,
@@ -422,22 +421,40 @@ def test_sampling_rejects_bad_seed(seed):
         sample_frontier(m, 3, seed=seed)
 
 
-def test_simulate_chunked_merge():
-    # samples are drawn in fixed blocks: a count spanning many blocks, with a
-    # partial last one, reproduces bit for bit and keeps memory at one block
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda m, rng: shift_measurement(optimal_random_measurement(m, np.eye(3)),
+                                                  [0.4, -0.3, 0.2]), id="optimal-shifted"),
+    pytest.param(lambda m, rng: sample_locally_unbiased(m, rng, n_atoms=6), id="sampled-6-atoms"),
+    pytest.param(lambda m, rng: shift_measurement(sample_locally_unbiased(m, rng), [0.0, 0.5, 0.1]),
+                 id="sampled-shifted"),
+])
+def test_simulate_shifted_and_many_atom_measurements(make):
+    m = qubit()
+    g = np.diag([1.0, 2.0, 0.7])
+    p = make(m, np.random.default_rng(21))
+    assert len(p.atoms) > m.n
+    sim = simulate(m, p, 200_000, seed=6, weight=g)
+    v = covariance(m, p)
+    se = np.sqrt(np.diag(v) / sim.n_samples)
+    assert np.all(np.abs(sim.mean) <= 5 * se)
+    assert abs(sim.quad_mean - np.trace(g @ v)) <= 5 * sim.quad_se
+
+
+def test_simulate_memory_flat_and_reproducible():
+    # outcome counts are drawn, not samples: a run reproduces bit for bit and
+    # its memory stays flat, up to 1e15 samples
     m = qubit()
     g = np.eye(3)
     p = optimal_random_measurement(m, g)
-    samples = 1_000_003
-    assert samples > measurement.SIMULATE_BLOCK and samples % measurement.SIMULATE_BLOCK
-    tracemalloc.start()
-    try:
-        a = simulate(m, p, samples, seed=7, weight=g)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    b = simulate(m, p, samples, seed=7, weight=g)
-    assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
-    assert a.quad_mean == b.quad_mean and a.quad_se == b.quad_se
-    # about 6 MB in blocks; drawing all samples at once takes about 62 MB
-    assert peak < 16 * 2**20
+    for samples in (1_000_003, 10**15):
+        tracemalloc.start()
+        try:
+            a = simulate(m, p, samples, seed=7, weight=g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        b = simulate(m, p, samples, seed=7, weight=g)
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.cov, b.cov)
+        assert a.quad_mean == b.quad_mean and a.quad_se == b.quad_se
+        # drawing 1e6 samples at once takes about 62 MB
+        assert peak < 16 * 2**20
