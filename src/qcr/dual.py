@@ -20,14 +20,16 @@ trust-region subproblems, each solved exactly. The reported separation
 minimum is a certified lower bound, so the final feasibility restoration
 is one exact shift and the reported optimum is a certified lower bound.
 
-For d >= 3 the oracle is heuristic: it maps sampled witnesses to xi*(v)
-and polishes the lowest points by alternating descent; the boosted sweeps
-of the final restoration add a pool of structured witnesses (eigenvectors
-of rho and of S, and the witnesses of the live cuts). The restoration
-shifts the last point along the identity until a boosted sweep finds no
-violation, which a sweep can still miss. Together with the monotone LP
-relaxation value the optimum brackets the true optimum, and the width of
-that final bracket alone decides whether the solve converged.
+For d >= 3 the oracle is a deterministic search: the lowest eigenvectors
+of the quartic separation form on the symmetric subspace Sym^2(C^d)
+(Doherty, Parrilo & Spedalieri, Phys. Rev. A 69, 022308, 2004) give the
+witnesses, whose jumps are polished by alternating descent. A clean sweep
+is repeated with the witnesses of the live cuts added, and only a clean
+repeat ends the rounds. At every d the final restoration is one such
+sweep and one shift along the identity. For d >= 3 a sweep can miss a
+narrow violation; together with the monotone LP relaxation value the
+optimum brackets the true optimum, and the width of that final bracket
+alone decides whether the solve converged.
 """
 
 from __future__ import annotations
@@ -109,6 +111,8 @@ class SolverConfig:
     tolerance ``qcr.simplex.PIVOT_TOL`` (1e-9) buys nothing: the LP does not
     act on cuts violated by less, and the solve stops at the round in which
     it stops at 1e-9, with the same bracket against a narrower band.
+
+    ``seed`` is validated but has no effect: every sweep is deterministic.
     """
 
     feas_tol: float = 1e-7
@@ -382,20 +386,15 @@ class _Engine:
         else:
             self.basis = np.diag(1.0 / np.sqrt(np.diag(self.G)))
 
-        lb = np.empty(self.nv)
-        ub = np.empty(self.nv)
-        lb[: self.nB] = -self.b_box
-        ub[: self.nB] = self.b_box
-        lb[self.nB:] = -self.s_box
-        ub[self.nB:] = self.s_box
-        ub[self.nB: self.nB + d] = 0.0  # S is negative semidefinite at every feasible point
-        self.lb, self.ub = lb, ub
+        self.ub = np.full(self.nv, self.s_box)
+        self.ub[: self.nB] = self.b_box
+        self.lb = -self.ub
+        self.ub[self.nB: self.nB + d] = 0.0  # S is negative semidefinite at every feasible point
         cvec = np.zeros(self.nv)
         cvec[: self.nB] = self.obj.ravel()
         cvec[self.nB: self.nB + d] = 1.0
         self.cvec = cvec
 
-        self.rho_vecs = np.linalg.eigh(self.rho)[1]
         if d == 2:
             # Bloch data of the exact qubit oracle, and a Fibonacci cover of
             # the Bloch sphere whose jumps seed it and add cuts
@@ -408,6 +407,16 @@ class _Engine:
             rxy = np.sqrt(1.0 - z * z)
             self.cover = _bloch_spinors(np.stack([rxy * np.cos(phi), rxy * np.sin(phi), z], axis=1))
             self.cover_coeffs = self._witness_coeffs(self.cover)
+        else:
+            # Sym^2(C^d): its orthonormal basis P (complex: NumPy's real-complex
+            # matmul is ~100x slower), the inverse Cholesky factor of
+            # P^T (I x rho) P and the compressed products P^T (T_i x T_j) P
+            i, j = np.triu_indices(d)
+            k = np.arange(i.size)
+            p = self.sym = np.zeros((d * d, i.size), dtype=complex)
+            p[i * d + j, k] = p[j * d + i, k] = np.where(i == j, 1.0, math.sqrt(0.5))
+            self.sym_ichol = np.linalg.inv(np.linalg.cholesky(p.T @ np.kron(np.eye(d), self.rho) @ p))
+            self.sym_ops = np.array([[p.T @ np.kron(ti, tj) @ p for tj in self.ops] for ti in self.ops])
 
     # -- LP pieces ----------------------------------------------------------
 
@@ -479,25 +488,31 @@ class _Engine:
         eigenvector of the residual decreases lambda_min monotonically and
         lands on critical points in a handful of iterations.
         """
-        best_pts = pts.copy()
-        w, vecs = np.linalg.eigh(self.residuals(b, s, pts))
-        best = w[:, 0]
-        for _ in range(iters):
-            pts = self._witness_jumps(b, vecs[:, :, 0])
+        best_pts, best = pts.copy(), np.full(pts.shape[0], np.inf)
+        for _ in range(iters + 1):
             w, vecs = np.linalg.eigh(self.residuals(b, s, pts))
-            vals = w[:, 0]
-            better = vals < best
-            best_pts[better] = pts[better]
-            improvement = float(np.max(best[better] - vals[better])) if np.any(better) else 0.0
-            best[better] = vals[better]
-            if improvement < 1e-14:
+            gain = best - w[:, 0]
+            better = gain > 0
+            best_pts[better], best[better] = pts[better], w[better, 0]
+            if gain.max() < 1e-14:
                 break
+            pts = self._witness_jumps(b, vecs[:, :, 0])
         return best_pts, best
 
-    def _witness_sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """Random unit vectors covering the witness sphere."""
-        vs = rng.normal(size=(count, self.d)) + 1j * rng.normal(size=(count, self.d))
-        return vs / np.linalg.norm(vs, axis=1, keepdims=True)
+    def _sym2_witnesses(self, b, s) -> np.ndarray:
+        """Unit witnesses from the quartic form on Sym^2(C^d) (d >= 3).
+
+        The cut of a unit witness v minimized over xi is <vv|Q|vv> / <vv|I x rho|vv>,
+        Q = (-S) x rho - 1/4 sum_ij M_ij T_i x T_j, M = B G^-1 B^T. Each of the
+        pencil's 6 lowest eigenvectors on Sym^2, reshaped to d x d (v x v
+        reshapes to v v^T), gives its two leading left singular vectors.
+        """
+        p, ichol = self.sym, self.sym_ichol
+        mk = b @ self.g_inv @ b.T
+        q = -(p.T @ np.kron(s, self.rho) @ p) - 0.25 * np.tensordot(mk, self.sym_ops, 2)
+        vecs = np.linalg.eigh(_hermitian(ichol @ q @ ichol.conj().T))[1][:, :6]
+        mats = (p @ (ichol.conj().T @ vecs)).T.reshape(-1, self.d, self.d)
+        return np.swapaxes(np.linalg.svd(mats)[0][:, :, :2], 1, 2).reshape(-1, self.d)
 
     def _witness_coeffs(self, vs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Witness expectations v^dag rho v and v^dag T_k v, one row per witness."""
@@ -510,12 +525,7 @@ class _Engine:
         return ((wk @ b) @ self.g_inv) / (2.0 * rv[:, None])
 
     def _witness_jumps(self, b, vs: np.ndarray) -> np.ndarray:
-        """Exact scalar-cut minimizers xi*(v) for a batch of witness vectors.
-
-        Every critical point of the residual's smallest eigenvalue is the
-        quadratic minimizer of its own witness, so a dense witness sample
-        reaches every basin regardless of its scale in y-space.
-        """
+        """Exact scalar-cut minimizers xi*(v) for a batch of witness vectors."""
         return self._jumps(b, *self._witness_coeffs(vs))
 
     def _qubit_min(self, b, s, lam: float) -> tuple[np.ndarray, float, float]:
@@ -550,52 +560,46 @@ class _Engine:
             lam = val
         return r_best, f_best, bound
 
-    def separate(self, b, s, rng: np.random.Generator, config: SolverConfig,
-                 boost: int = 1, live: np.ndarray | None = None) -> _Separation:
+    def separate(self, b, s, config: SolverConfig, pool: np.ndarray | None = None) -> _Separation:
         """Search the witness sphere for the most negative residual eigenvalue.
 
         d = 2: the exact Bloch-sphere minimum (a certified lower bound) and
         its minimizer, with the jumps of a fixed cover as further cut
-        candidates; ``rng``, ``boost`` and ``live`` are not used.
-        d >= 3: sampled witnesses, their jumps and xi = 0, then descent from
-        the lowest points. A boosted sweep adds the eigenvectors of rho and
-        of S and the ``live`` cut witnesses to the sample.
+        candidates. d >= 3: the jumps of the Sym^2 witnesses and xi = 0, each
+        polished by descent; a ``pool`` of witnesses adds its jumps, the 24
+        lowest polished, so the pool sweep finds all the plain one does.
         """
         if self.d == 2:
             ys = self._jumps(b, *self.cover_coeffs)
             vals = self.lam_min(b, s, ys)
             r, f_best, min_value = self._qubit_min(b, s, float(np.min(vals)))
-            best = self._witness_jumps(b, _bloch_spinors(r[None]))
-            all_pts = np.vstack([best, ys])
+            all_pts = np.vstack([self._witness_jumps(b, _bloch_spinors(r[None])), ys])
             all_vals = np.concatenate([[f_best], vals])
         else:
-            vs = self._witness_sample(rng, 128 * boost)
-            if boost > 1:
-                pool = [vs, self.rho_vecs.T, np.linalg.eigh(s)[1].T]
-                vs = np.vstack(pool if live is None else pool + [live])
-            ys = np.vstack([self._witness_jumps(b, vs), np.zeros((1, self.m))])
+            ys = np.vstack([self._witness_jumps(b, self._sym2_witnesses(b, s)), np.zeros((1, self.m))])
+            nsym = ys.shape[0]
+            if pool is not None:
+                ys = np.vstack([ys, self._witness_jumps(b, pool)])
             vals = self.lam_min(b, s, ys)
-            pts, pvals = self._descend(b, s, ys[np.argsort(vals)[: 24 * boost]])
+            start = np.concatenate([np.arange(nsym), nsym + np.argsort(vals[nsym:])[:24]])
+            pts, pvals = self._descend(b, s, ys[start])
             all_pts = np.vstack([ys, pts])
             all_vals = np.concatenate([vals, pvals])
-            imin = int(np.argmin(all_vals))
-            min_value = float(all_vals[imin])
-            best = all_pts[imin: imin + 1]
+            min_value = float(np.min(all_vals))
 
-        bad = np.argsort(all_vals)
-        bad = bad[all_vals[bad] < -config.feas_tol]
+        order = np.argsort(all_vals)
+        bad = order[all_vals[order] < -config.feas_tol]
         violated = _spread_select(all_pts, bad, MAX_CUTS_PER_ROUND, 0.01)
-        return _Separation(min_value, best[0].copy(), violated)
+        return _Separation(min_value, all_pts[order[0]].copy(), violated)
 
     # -- main loop ----------------------------------------------------------
 
     def solve(self, config: SolverConfig) -> DualResult:
-        rng = np.random.default_rng(config.seed)
         # seed cuts: every eigenvector of rho at xi = 0 and at +-basis[i]
         seeds = np.vstack([np.zeros((1, self.m)),
                            np.stack([self.basis, -self.basis], axis=1).reshape(-1, self.m)])
         cuts = self.new_cuts(np.repeat(seeds, self.d, axis=0),
-                             np.tile(self.rho_vecs.T, (seeds.shape[0], 1)))
+                             np.tile(np.linalg.eigh(self.rho)[1].T, (seeds.shape[0], 1)))
 
         trace: list[DualRound] = []
         b = np.zeros((self.n_ops, self.m))
@@ -616,7 +620,10 @@ class _Engine:
                 break
             b, s = self.unpack(lp.x)
             tick = time.perf_counter()
-            sep = self.separate(b, s, rng, config)
+            sep = self.separate(b, s, config)
+            if self.d > 2 and sep.min_value >= -config.feas_tol:
+                # a clean sweep ends the rounds only if the pool sweep is clean too
+                sep = self.separate(b, s, config, cuts.v)
             sep_s = time.perf_counter() - tick
             # every cut is one LP row
             rec = DualRound(lp.value, sep.min_value, lp.value + min(0.0, sep.min_value) * self.d,
@@ -637,38 +644,33 @@ class _Engine:
             qi, ii = np.nonzero(take)
             cuts = cuts.extend(self.new_cuts(sep.violated[qi], vecs[qi, :, ii]))
 
-        # feasibility restoration: shift S along the identity until a boosted
-        # sweep finds no violation beyond RESTORE_TOL. On qubits the sweep's
-        # minimum is a certified lower bound, so one shift suffices and
-        # certifies the result
-        feasibility = 0.0
-        for _ in range(5):
-            sep = self.separate(b, s, rng, config, boost=3, live=cuts.v)
-            feasibility = sep.min_value
-            if sep.min_value >= -RESTORE_TOL:
-                break
-            s = s + (sep.min_value - RESTORE_TOL) * np.eye(self.d)
+        # feasibility restoration: one pool sweep and one shift of S along the
+        # identity, which moves every residual eigenvalue alike
+        sep = self.separate(b, s, config, cuts.v)
+        shift = sep.min_value - RESTORE_TOL if sep.min_value < -RESTORE_TOL else 0.0
+        s = s + shift * np.eye(self.d)
+        feasibility = sep.min_value - shift
         optimum = float(self.cvec[: self.nB] @ b.ravel()) + float(np.trace(s).real)
         lp_value = trace[-1].lp_value
         converged = lp_value - optimum <= config.obj_tol + self.d * config.feas_tol
-        certified = self.d == 2 and feasibility >= -RESTORE_TOL
         return DualResult(optimum, DualPoint(b, s), list(map(Cut, cuts.xi, cuts.v)), len(trace),
                           "converged" if converged else "unconverged", lp_value, feasibility,
-                          certified, trace)
+                          self.d == 2, trace)
 
 
 def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -> DualResult:
     """Cutting-plane solution of the dual program for a PD weight matrix.
 
     The returned ``optimum`` is the objective of the final dual point after
-    feasibility restoration, a lower bound on the deviation of every locally
-    unbiased measurement. On qubits the restoration uses the exact oracle,
-    the bound is certified and ``certified`` is True. For d >= 3 it holds
-    as far as the heuristic restoration sweep finds no violation beyond its
-    tolerance (``feasibility``), and ``certified`` is False. ``lp_value`` is
-    the final relaxation value bounding the true optimum from above.
+    feasibility restoration (one sweep, and one shift along the identity
+    that lifts a minimum below -1e-12 to 1e-12; ``feasibility`` is the
+    minimum after it), a lower bound on the deviation of every locally
+    unbiased measurement: certified on qubits, where the sweep is exact and
+    ``certified`` is True, and for d >= 3 as far as the sweep finds every
+    violation. ``lp_value`` bounds the true optimum from above.
 
-    The rounds stop when a sweep finds no violation beyond ``feas_tol``,
+    The rounds stop when a sweep, and at d >= 3 the pool sweep that adds
+    the witnesses of the live cuts, finds no violation beyond ``feas_tol``,
     when the round cap is reached, or when the warm re-solve after a round
     that added cuts makes no pivot (every new cut within the simplex's
     pivot tolerance of feasibility, so the relaxation cannot move).
@@ -687,23 +689,21 @@ def separation_oracle(model: StatisticalModel, g, dual: DualPoint,
 
     On qubits the minimum is exact: ``min_value`` is a certified lower bound
     and the witness is the computed minimizer with its scalar cut. For
-    d >= 3 every sampled or pooled unit witness v (eigenvectors of rho and
-    of S) is mapped to the tangent point xi*(v) that minimizes its scalar
-    cut, the lowest of those points are polished by alternating descent,
-    and the most violating point found is returned with its scalar cut;
-    there a nonnegative ``min_value`` is evidence, not proof, of
-    feasibility, and callers needing certainty should rely on the
-    certificate-gap identities.
+    d >= 3 the witnesses come from the quartic separation form on the
+    symmetric subspace, each mapped to the tangent point xi*(v) that
+    minimizes its scalar cut and polished by alternating descent, and the
+    most violating point found is returned with its scalar cut; there a
+    nonnegative ``min_value`` is evidence, not proof, of feasibility, and
+    callers needing certainty should rely on the certificate-gap
+    identities. ``config.seed`` has no effect.
     """
     cfg = config or SolverConfig()
     gm = require_weight_matrix(g, model.n)
     if dual.a.shape != (model.n, model.n) or dual.s.shape != (model.dim, model.dim):
         raise ValidationError("dual point dimensions do not match the model")
     engine = _Engine(model, gm, np.eye(model.n))
-    rng = np.random.default_rng(cfg.seed)
-    sep = engine.separate(dual.a, dual.s, rng, cfg, boost=2)
-    mat = engine.residual_mat(dual.a, dual.s, sep.best)
-    v = np.linalg.eigh(mat)[1][:, 0]
+    sep = engine.separate(dual.a, dual.s, cfg)
+    v = np.linalg.eigh(engine.residual_mat(dual.a, dual.s, sep.best))[1][:, 0]
     return SeparationResult(sep.min_value, Cut(sep.best, v))
 
 

@@ -296,19 +296,25 @@ def sample_frontier(model: StatisticalModel, count: int, seed: int) -> np.ndarra
     Each sample is a random positive J-self-adjoint operator W normalized to
     unit trace, mapped to its frontier covariance W^{-1} J^{-1}; the samples
     come back stacked as one ``(count, n, n)`` array. Every sample dominates
-    the inverse Fisher matrix.
+    the inverse Fisher matrix. A count of 2**63 or more, or one whose arrays
+    cannot be allocated, is an input error.
     """
     count = require_int(count, "count", 1)
+    if count > np.iinfo(np.int64).max:
+        raise ValidationError(f"count must be below 2**63, got {count}")
     rng = np.random.default_rng(require_int(seed, "seed"))
     n = model.n
-    a = rng.normal(size=(count, n, n))
-    pos = a @ a.transpose(0, 2, 1)
-    # small ridge keeps the frontier point numerically well conditioned
-    pos += (1e-3 * np.trace(pos, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
-    pos /= np.trace(pos, axis1=1, axis2=2)[:, None, None]
-    w, u = np.linalg.eigh(pos)
-    inv = (u / w[:, None, :]) @ u.transpose(0, 2, 1)
-    v = model.fisher_isqrt @ inv @ model.fisher_isqrt
+    try:
+        a = rng.normal(size=(count, n, n))
+        pos = a @ a.transpose(0, 2, 1)
+        # small ridge keeps the frontier point numerically well conditioned
+        pos += (1e-3 * np.trace(pos, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+        pos /= np.trace(pos, axis1=1, axis2=2)[:, None, None]
+        w, u = np.linalg.eigh(pos)
+        inv = (u / w[:, None, :]) @ u.transpose(0, 2, 1)
+        v = model.fisher_isqrt @ inv @ model.fisher_isqrt
+    except MemoryError as exc:
+        raise ValidationError(f"cannot hold {count} frontier samples: {exc}") from None
     return (v + v.transpose(0, 2, 1)) / 2.0
 
 

@@ -317,6 +317,12 @@ MALFORMED_NUMBERS = [
      None, None),
     ("seed-negative-simulate", ["simulate", "--model", "qubit-full", "--alpha", "0.6",
                                 "--samples", "10", "--seed", "-1"], None, None),
+    # a count numpy cannot draw, and one (65.5 TiB) it refuses to allocate
+    # before touching any memory
+    ("samples-huge-limitset", ["limitset", "--model", "qubit-full", "--alpha", "0.6",
+                               "--samples", "100000000000000000000", "--seed", "1"], None, None),
+    ("samples-unheld-limitset", ["limitset", "--model", "qubit-full", "--alpha", "0.6",
+                                 "--samples", "1000000000000", "--seed", "1"], None, None),
 ]
 
 

@@ -251,7 +251,7 @@ def test_qubit_separation_is_exact_against_a_bloch_grid():
         points = _oracle_points(m, g, rng)
         grid = bloch_grid_minima(m, g, points)
         for (b, s), grid_min in zip(points, grid):
-            sep = engine.separate(b, s, None, CFG)
+            sep = engine.separate(b, s, CFG)
             tol = 1e-12 * (1.0 + abs(sep.min_value))
             # the reported minimum is a lower bound: no grid witness goes below it
             assert grid_min >= sep.min_value - tol
@@ -320,16 +320,19 @@ def commuting_model(d, n, seed):
     return build_model(DensityOperator(rho), tangents)
 
 
-def test_boosted_sweep_memory_is_bounded():
-    # d = 4, n = 3: a boost-3 sweep evaluates 393 points (the jumps of 384
-    # random and 8 pooled witnesses, and xi = 0) and polishes the 72 lowest
-    m = commuting_model(4, 3, seed=0)
-    engine = _Engine(m, np.eye(3), np.eye(3))
-    b = np.zeros((3, 3))
-    s = np.zeros((4, 4), dtype=complex)
+def test_pool_sweep_memory_is_bounded():
+    # d = 8, n = 3: the Sym^2 set-up (36 x 36 compressed products) and one
+    # pool sweep over the jumps of 12 Sym^2 and 400 pooled witnesses and
+    # xi = 0, polishing the 13 Sym^2 points and the 24 lowest pooled ones
+    m = commuting_model(8, 3, seed=0)
+    rng = np.random.default_rng(1)
+    pool = unit_witnesses(rng, 400, 8)
+    b = rng.normal(size=(3, 3))
+    s = -np.diag(rng.uniform(size=8)).astype(complex)
     tracemalloc.start()
     try:
-        engine.separate(b, s, np.random.default_rng(1), SolverConfig(), boost=3)
+        engine = _Engine(m, np.eye(3), np.eye(3))
+        engine.separate(b, s, SolverConfig(), pool)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -518,21 +521,58 @@ def test_skewed_tangent_basis_still_matches_bound():
 
 
 def test_random_qutrit_between_classical_and_random_bounds():
-    rng = np.random.default_rng(19)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    p = a @ a.conj().T + 0.3 * np.eye(3)
-    rho = DensityOperator(p / np.trace(p).real)
-    tangents = []
-    for _ in range(2):
-        b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        h = (b + b.conj().T) / 2
-        tangents.append(h - np.trace(h).real / 3 * np.eye(3))
-    m = build_model(rho, tangents)
+    for seed in (19, 17, 20, 23):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        p = a @ a.conj().T + 0.3 * np.eye(3)
+        rho = DensityOperator(p / np.trace(p).real)
+        tangents = []
+        for _ in range(2):
+            b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+            h = (b + b.conj().T) / 2
+            tangents.append(h - np.trace(h).real / 3 * np.eye(3))
+        m = build_model(rho, tangents)
+        g = np.eye(2)
+        sol = solve_dual(m, g, SolverConfig(feas_tol=1e-4, obj_tol=1e-4, seed=3))
+        classical = float(np.trace(g @ m.fisher_inverse))
+        random_bound = optimal_random_bound(m, g)
+        assert classical - 1e-3 <= sol.optimum <= sol.lp_value <= random_bound + 1e-3, seed
+
+
+def spin1_rotation_model(spectrum):
+    """rho diagonal in J_z with tangents i[J_x, rho] and i[J_y, rho]: neither random nor commuting."""
+    jx = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]]) / np.sqrt(2)
+    jy = np.array([[0, -1j, 0], [1j, 0, -1j], [0, 1j, 0]]) / np.sqrt(2)
+    rho = np.diag(spectrum).astype(complex)
+    return build_model(DensityOperator(rho), [1j * (j @ rho - rho @ j) for j in (jx, jy)])
+
+
+def test_spin1_rotation_model_stays_below_the_random_bound():
+    # the random bound (tr W)^2 = 10 is not attained on this non-random
+    # model: the converged upper bound lp_value lies strictly below it
+    m = spin1_rotation_model((0.6, 0.3, 0.1))
     g = np.eye(2)
-    sol = solve_dual(m, g, SolverConfig(feas_tol=1e-4, obj_tol=1e-4, seed=3))
-    classical = float(np.trace(g @ m.fisher_inverse))
-    random_bound = optimal_random_bound(m, g)
-    assert classical - 1e-3 <= sol.optimum <= random_bound + 1e-3
+    sol = solve_dual(m, g, SolverConfig(feas_tol=1e-6, obj_tol=1e-6))
+    sld = float(np.trace(g @ m.fisher_inverse))
+    assert sld == pytest.approx(5.0)
+    assert optimal_random_bound(m, g) == pytest.approx(10.0)
+    assert sol.status == "converged"
+    assert sld <= sol.optimum <= sol.lp_value < 9.0
+
+
+@pytest.mark.parametrize("name", ["qutrit-diagonal", "commuting-d4"])
+def test_solves_are_deterministic_and_restored_by_one_shift(name):
+    if name == "qutrit-diagonal":
+        m, g = builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25)), np.eye(2)
+    else:
+        m, g = commuting_model(4, 3, seed=4), np.eye(3)
+    first, second = (solve_dual(m, g, SolverConfig(feas_tol=1e-5, obj_tol=1e-5, seed=seed))
+                     for seed in (0, 7))
+    assert (first.optimum, first.lp_value, first.rounds) == (second.optimum, second.lp_value, second.rounds)
+    assert first.dual.a.tobytes() == second.dual.a.tobytes()
+    assert first.dual.s.tobytes() == second.dual.s.tobytes()
+    # a second restoration pass would find nothing below the margin
+    assert separation_oracle(m, g, first.dual).min_value >= -1e-12
 
 
 # -- known-answer soundness -------------------------------------------------------
