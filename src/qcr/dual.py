@@ -26,10 +26,11 @@ of the quartic separation form on the symmetric subspace Sym^2(C^d)
 witnesses, whose jumps are polished by alternating descent. A clean sweep
 is repeated with the witnesses of the live cuts added, and only a clean
 repeat ends the rounds. At every d the final restoration is one such
-sweep and one shift along the identity. For d >= 3 a sweep can miss a
-narrow violation; together with the monotone LP relaxation value the
-optimum brackets the true optimum, and the width of that final bracket
-alone decides whether the solve converged.
+sweep (the one that ended the rounds, when it was clean) and one shift
+along the identity. For d >= 3 a sweep can miss a narrow violation;
+together with the monotone LP relaxation value the optimum brackets the
+true optimum, and the width of that final bracket alone decides whether
+the solve converged.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import NumericError, ValidationError
 from .measurement import optimal_weight_operator, require_int, require_weight_matrix
 from .model import PAULI_1, PAULI_2, PAULI_3, StatisticalModel, _as_coords, build_model
 from .randomness import is_random_model
-from .simplex import solve_boxed_lp
+from .simplex import PIVOT_TOL, solve_boxed_lp
 
 log = logging.getLogger("qcr.dual")
 
@@ -107,10 +108,11 @@ class SolverConfig:
     G by c calls for tolerances scaled by c. ``feas_tol`` is the largest
     residual violation a sweep accepts; a solve is converged when its final
     bracket, relaxation value minus restored optimum, is at most
-    ``obj_tol + d * feas_tol``. A ``feas_tol`` below the simplex's pivot
-    tolerance ``qcr.simplex.PIVOT_TOL`` (1e-9) buys nothing: the LP does not
-    act on cuts violated by less, and the solve stops at the round in which
-    it stops at 1e-9, with the same bracket against a narrower band.
+    ``obj_tol + d * feas_tol``. The solver clamps ``feas_tol`` at the
+    simplex's pivot tolerance ``qcr.simplex.PIVOT_TOL`` (1e-9), for its
+    sweeps, its stop test and that band alike: the LP does not act on cuts
+    violated by less, so a smaller ``feas_tol`` returns exactly what 1e-9
+    returns.
 
     ``seed`` is validated but has no effect: every sweep is deterministic.
     """
@@ -480,23 +482,28 @@ class _Engine:
         bloch = quad[:, None] * self.rho_bloch - s_bloch - coef @ self.ops_bloch
         return 0.5 * (tr - np.sqrt(np.einsum("qj,qj->q", bloch, bloch)))
 
-    def _descend(self, b, s, pts: np.ndarray, iters: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    def _descend(self, b, s, pts: np.ndarray, tol: float,
+                 iters: int = 40) -> tuple[np.ndarray, np.ndarray]:
         """Alternating descent on lambda_min of the residual.
 
         For a fixed witness vector v the scalar cut is a convex quadratic in
         y with exact minimizer; alternating that step with the smallest
         eigenvector of the residual decreases lambda_min monotonically and
-        lands on critical points in a handful of iterations.
+        lands on critical points in a handful of iterations. A point leaves
+        the batch once a step gains less than ``tol``.
         """
         best_pts, best = pts.copy(), np.full(pts.shape[0], np.inf)
+        live = np.arange(pts.shape[0])
         for _ in range(iters + 1):
             w, vecs = np.linalg.eigh(self.residuals(b, s, pts))
-            gain = best - w[:, 0]
+            gain = best[live] - w[:, 0]
             better = gain > 0
-            best_pts[better], best[better] = pts[better], w[better, 0]
-            if gain.max() < 1e-14:
+            best_pts[live[better]], best[live[better]] = pts[better], w[better, 0]
+            moving = gain >= tol
+            if not moving.any():
                 break
-            pts = self._witness_jumps(b, vecs[:, :, 0])
+            live = live[moving]
+            pts = self._witness_jumps(b, vecs[moving, :, 0])
         return best_pts, best
 
     def _sym2_witnesses(self, b, s) -> np.ndarray:
@@ -560,14 +567,17 @@ class _Engine:
             lam = val
         return r_best, f_best, bound
 
-    def separate(self, b, s, config: SolverConfig, pool: np.ndarray | None = None) -> _Separation:
+    def separate(self, b, s, feas_tol: float, pool: np.ndarray | None = None,
+                 tol: float = 1e-14) -> _Separation:
         """Search the witness sphere for the most negative residual eigenvalue.
 
         d = 2: the exact Bloch-sphere minimum (a certified lower bound) and
         its minimizer, with the jumps of a fixed cover as further cut
         candidates. d >= 3: the jumps of the Sym^2 witnesses and xi = 0, each
-        polished by descent; a ``pool`` of witnesses adds its jumps, the 24
-        lowest polished, so the pool sweep finds all the plain one does.
+        polished by descent until a step gains less than ``tol``; a ``pool``
+        of witnesses adds its jumps, the 24 lowest polished, so the pool sweep
+        finds all the plain one does. The points below ``-feas_tol`` are the
+        cut candidates.
         """
         if self.d == 2:
             ys = self._jumps(b, *self.cover_coeffs)
@@ -582,19 +592,21 @@ class _Engine:
                 ys = np.vstack([ys, self._witness_jumps(b, pool)])
             vals = self.lam_min(b, s, ys)
             start = np.concatenate([np.arange(nsym), nsym + np.argsort(vals[nsym:])[:24]])
-            pts, pvals = self._descend(b, s, ys[start])
+            pts, pvals = self._descend(b, s, ys[start], tol)
             all_pts = np.vstack([ys, pts])
             all_vals = np.concatenate([vals, pvals])
             min_value = float(np.min(all_vals))
 
         order = np.argsort(all_vals)
-        bad = order[all_vals[order] < -config.feas_tol]
+        bad = order[all_vals[order] < -feas_tol]
         violated = _spread_select(all_pts, bad, MAX_CUTS_PER_ROUND, 0.01)
         return _Separation(min_value, all_pts[order[0]].copy(), violated)
 
     # -- main loop ----------------------------------------------------------
 
     def solve(self, config: SolverConfig) -> DualResult:
+        # the LP cannot act on cuts violated by less than its pivot tolerance
+        feas_tol = max(config.feas_tol, PIVOT_TOL)
         # seed cuts: every eigenvector of rho at xi = 0 and at +-basis[i]
         seeds = np.vstack([np.zeros((1, self.m)),
                            np.stack([self.basis, -self.basis], axis=1).reshape(-1, self.m)])
@@ -620,10 +632,11 @@ class _Engine:
                 break
             b, s = self.unpack(lp.x)
             tick = time.perf_counter()
-            sep = self.separate(b, s, config)
-            if self.d > 2 and sep.min_value >= -config.feas_tol:
+            # the plain sweep only supplies cuts, so its descent stops early
+            sep = self.separate(b, s, feas_tol, tol=1e-3 * feas_tol)
+            if self.d > 2 and sep.min_value >= -feas_tol:
                 # a clean sweep ends the rounds only if the pool sweep is clean too
-                sep = self.separate(b, s, config, cuts.v)
+                sep = self.separate(b, s, feas_tol, cuts.v)
             sep_s = time.perf_counter() - tick
             # every cut is one LP row
             rec = DualRound(lp.value, sep.min_value, lp.value + min(0.0, sep.min_value) * self.d,
@@ -632,27 +645,30 @@ class _Engine:
             log.debug("round %d: lp=%.9g sep=%.3e rows=%d pivots=%d warm=%s lp_s=%.3g sep_s=%.3g",
                       rnd, rec.lp_value, rec.sep_min, rec.rows, rec.pivots, rec.warm,
                       rec.lp_s, rec.sep_s)
-            if sep.min_value >= -config.feas_tol:
+            if sep.min_value >= -feas_tol:
                 break
             # retire cuts slack for many consecutive rounds; the LP stays small
             cuts, start = cuts.retire(lp.x, 4 * self.nv, lp.basis)
             # at each violated point, a cut for the lowest eigenvector and for
             # every other one below -feas_tol
             w, vecs = np.linalg.eigh(_hermitian(self.residuals(b, s, sep.violated)))
-            take = w < -config.feas_tol
+            take = w < -feas_tol
             take[:, 0] = True
             qi, ii = np.nonzero(take)
             cuts = cuts.extend(self.new_cuts(sep.violated[qi], vecs[qi, :, ii]))
 
         # feasibility restoration: one pool sweep and one shift of S along the
-        # identity, which moves every residual eigenvalue alike
-        sep = self.separate(b, s, config, cuts.v)
+        # identity, which moves every residual eigenvalue alike; a clean sweep
+        # that ended the rounds (exact at d = 2, a pool sweep at d >= 3) was
+        # taken at this point with these cuts, and stands in for it
+        if trace[-1].sep_min < -feas_tol:
+            sep = self.separate(b, s, feas_tol, cuts.v)
         shift = sep.min_value - RESTORE_TOL if sep.min_value < -RESTORE_TOL else 0.0
         s = s + shift * np.eye(self.d)
         feasibility = sep.min_value - shift
         optimum = float(self.cvec[: self.nB] @ b.ravel()) + float(np.trace(s).real)
         lp_value = trace[-1].lp_value
-        converged = lp_value - optimum <= config.obj_tol + self.d * config.feas_tol
+        converged = lp_value - optimum <= config.obj_tol + self.d * feas_tol
         return DualResult(optimum, DualPoint(b, s), list(map(Cut, cuts.xi, cuts.v)), len(trace),
                           "converged" if converged else "unconverged", lp_value, feasibility,
                           self.d == 2, trace)
@@ -670,7 +686,8 @@ def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -
     violation. ``lp_value`` bounds the true optimum from above.
 
     The rounds stop when a sweep, and at d >= 3 the pool sweep that adds
-    the witnesses of the live cuts, finds no violation beyond ``feas_tol``,
+    the witnesses of the live cuts, finds no violation beyond ``feas_tol``
+    (clamped at the simplex's pivot tolerance, see :class:`SolverConfig`),
     when the round cap is reached, or when the warm re-solve after a round
     that added cuts makes no pivot (every new cut within the simplex's
     pivot tolerance of feasibility, so the relaxation cannot move).
@@ -702,7 +719,7 @@ def separation_oracle(model: StatisticalModel, g, dual: DualPoint,
     if dual.a.shape != (model.n, model.n) or dual.s.shape != (model.dim, model.dim):
         raise ValidationError("dual point dimensions do not match the model")
     engine = _Engine(model, gm, np.eye(model.n))
-    sep = engine.separate(dual.a, dual.s, cfg)
+    sep = engine.separate(dual.a, dual.s, cfg.feas_tol)
     v = np.linalg.eigh(engine.residual_mat(dual.a, dual.s, sep.best))[1][:, 0]
     return SeparationResult(sep.min_value, Cut(sep.best, v))
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qcr.dual
+import qcr.simplex
 from qcr.dual import (
     Cut,
     DualPoint,
@@ -251,7 +252,7 @@ def test_qubit_separation_is_exact_against_a_bloch_grid():
         points = _oracle_points(m, g, rng)
         grid = bloch_grid_minima(m, g, points)
         for (b, s), grid_min in zip(points, grid):
-            sep = engine.separate(b, s, CFG)
+            sep = engine.separate(b, s, CFG.feas_tol)
             tol = 1e-12 * (1.0 + abs(sep.min_value))
             # the reported minimum is a lower bound: no grid witness goes below it
             assert grid_min >= sep.min_value - tol
@@ -332,11 +333,56 @@ def test_pool_sweep_memory_is_bounded():
     tracemalloc.start()
     try:
         engine = _Engine(m, np.eye(3), np.eye(3))
-        engine.separate(b, s, SolverConfig(), pool)
+        engine.separate(b, s, SolverConfig().feas_tol, pool)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2**20
+
+
+def _reference_descend(engine, b, s, pts, iters=40):
+    """The batch-wide descent: every point stays in the batch until all gain less than 1e-14."""
+    best_pts, best = pts.copy(), np.full(pts.shape[0], np.inf)
+    for _ in range(iters + 1):
+        w, vecs = np.linalg.eigh(engine.residuals(b, s, pts))
+        gain = best - w[:, 0]
+        better = gain > 0
+        best_pts[better], best[better] = pts[better], w[better, 0]
+        if gain.max() < 1e-14:
+            break
+        pts = engine._witness_jumps(b, vecs[:, :, 0])
+    return best_pts, best
+
+
+def _descent_cases():
+    """Seeded (engine, B, S, xi) at d = 3, 4 and 8: S shifted so that some starts are violated."""
+    rng = np.random.default_rng(93)
+    for d in (3, 4, 8):
+        m = random_model(d, 3, rng)
+        engine = _Engine(m, np.eye(3), np.eye(3))
+        for _ in range(3):
+            b = 0.3 * rng.normal(size=(3, 3))
+            h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            s = 0.05 * (h + h.conj().T) - 0.1 * np.eye(d)
+            yield engine, b, s, rng.normal(size=(16, 3))
+
+
+def test_descent_matches_the_batch_wide_reference():
+    for engine, b, s, pts in _descent_cases():
+        ref_pts, ref = _reference_descend(engine, b, s, pts)
+        got_pts, got = engine._descend(b, s, pts, 1e-14)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(np.abs(ref), 1.0))
+        assert np.all(np.isfinite(got_pts))
+
+
+@pytest.mark.parametrize("tol", [1e-14, 1e-8, 1e-3, 1.0])
+def test_descent_never_ends_above_its_start(tol):
+    for engine, b, s, pts in _descent_cases():
+        start = np.linalg.eigh(engine.residuals(b, s, pts))[0][:, 0]
+        got_pts, got = engine._descend(b, s, pts, tol)
+        assert np.all(got <= start)
+        # each value is attained at its returned point
+        assert np.allclose(engine.lam_min(b, s, got_pts), got, rtol=1e-12, atol=1e-12)
 
 
 # -- solve_dual -------------------------------------------------------------------
@@ -428,10 +474,12 @@ def test_unconverged_status_and_best_point():
 
 
 @pytest.mark.parametrize("case", ["identity", "diagonal", "qutrit"])
-def test_round_without_new_cut_ends_unconverged(case):
+def test_round_without_new_cut_ends_unconverged(case, monkeypatch):
+    # with the engine's clamp lowered below the simplex's pivot tolerance,
     # tolerances this tight leave the solver with violated cuts that the LP
     # prices within its pivot tolerance: the warm re-solve after they are
     # added makes no pivot, and the loop stops early
+    monkeypatch.setattr(qcr.dual, "PIVOT_TOL", 1e-10)
     if case == "qutrit":
         m, g = builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25)), np.eye(2)
         # a commuting model: the classical bound tr(G J^-1) is attained
@@ -446,6 +494,47 @@ def test_round_without_new_cut_ends_unconverged(case):
     assert len(sol.trace) == sol.rounds
     assert sol.certified == (m.dim == 2)
     assert sol.optimum <= exact <= sol.lp_value
+
+
+def _small_case(name):
+    if name == "qubit-full":
+        return qubit(0.6), np.eye(3)
+    return builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25)), np.eye(2)
+
+
+@pytest.mark.parametrize("name", ["qubit-full", "qutrit-diagonal"])
+def test_feas_tol_is_clamped_at_the_pivot_tolerance(name):
+    # the LP does not act on cuts violated by less than its pivot tolerance,
+    # so a smaller feas_tol solves exactly as the pivot tolerance does
+    m, g = _small_case(name)
+    floor, below = (solve_dual(m, g, SolverConfig(feas_tol=t, obj_tol=1e-9))
+                    for t in (qcr.simplex.PIVOT_TOL, 1e-10))
+    assert ((below.rounds, below.optimum, below.lp_value, below.status)
+            == (floor.rounds, floor.optimum, floor.lp_value, floor.status))
+
+
+@pytest.mark.parametrize("name", ["qubit-full", "qutrit-diagonal"])
+def test_restoration_reuses_the_clean_sweep_that_ended_the_rounds(monkeypatch, name):
+    m, g = _small_case(name)
+    calls = []
+    separate = _Engine.separate
+
+    def counted(self, b, s, feas_tol, pool=None, **kw):
+        sep = separate(self, b, s, feas_tol, pool, **kw)
+        calls.append((pool is not None, sep.min_value))
+        return sep
+
+    monkeypatch.setattr(_Engine, "separate", counted)
+    sol = solve_dual(m, g, CFG)
+    # the rounds ended on a clean sweep ...
+    assert sol.rounds < CFG.max_rounds and sol.trace[-1].sep_min >= -CFG.feas_tol
+    # ... so the sweeps are the rounds' own: one plain sweep each, and at
+    # d >= 3 a pool sweep after each clean plain one
+    plain = [v for pooled, v in calls if not pooled]
+    assert len(plain) == sol.rounds
+    clean = sum(v >= -CFG.feas_tol for v in plain) if m.dim > 2 else 0
+    assert len(calls) == sol.rounds + clean
+    assert calls[-1][1] == sol.trace[-1].sep_min
 
 
 # -- certificates -------------------------------------------------------------------
@@ -580,12 +669,16 @@ def test_solves_are_deterministic_and_restored_by_one_shift(name):
 # converged or not
 
 
-# seeds 4 and 5 at d = 4 run to the default round cap: their restoration
-# misses a violation near a basis witness unless the witness pool is swept
+# seeds 4 and 5 at d = 4 need the default round cap: their restoration
+# misses a violation near a basis witness unless the witness pool is swept;
+# the d = 6 and d = 8 cases (seeds 3-5) are marked slow
 @pytest.mark.parametrize("d, n, seed, rounds", [
     pytest.param(d, n, seed, 60, id=f"{d}-{n}-{seed}")
     for d, n, seed in [(3, 2, 100), (3, 2, 101), (3, 2, 102), (4, 3, 100), (4, 3, 101), (4, 3, 102)]
-] + [pytest.param(4, 3, seed, 200, id=f"4-3-{seed}-200") for seed in (4, 5, 12)])
+] + [pytest.param(4, 3, seed, 200, id=f"4-3-{seed}-200") for seed in (4, 5, 12)] + [
+    pytest.param(d, 3, seed, 200, id=f"{d}-3-{seed}-200", marks=pytest.mark.slow)
+    for d in (6, 8) for seed in (3, 4, 5)
+])
 def test_commuting_model_bracket_is_sound(d, n, seed, rounds):
     m = commuting_model(d, n, seed)
     g = np.eye(n)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import qcr.simplex
-from qcr.errors import NumericError
+from qcr.errors import NumericError, ValidationError
 from qcr.simplex import solve_boxed_lp
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
@@ -40,6 +40,15 @@ def test_free_variables_via_shifted_box():
     res = solve_boxed_lp([1.0, 1.0], [[-1.0, -1.0]], [2.0], [-10.0, -10.0], [10.0, 10.0])
     assert res.status == "optimal"
     assert res.value == pytest.approx(-2.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("bad", ["c", "a", "b"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_data_is_rejected(bad, value):
+    data = {"c": np.ones(2), "a": np.ones((1, 2)), "b": np.ones(1)}
+    data[bad].flat[0] = value
+    with pytest.raises(ValidationError):
+        solve_boxed_lp(data["c"], data["a"], data["b"], np.zeros(2), np.full(2, 2.0), maximize=True)
 
 
 def test_beale_degenerate_example_terminates():
@@ -298,22 +307,29 @@ def test_rows_added_until_infeasible_are_reported_infeasible():
 
 # -- pivot rule ------------------------------------------------------------------------
 
-def _reference_pivot(tab, basis, row, col):
-    tab[row] /= tab[row, col]
-    rates = tab[:, col].copy()
+def _reference_pivot(cols, binv, xb, rc, basis, row, enter, col):
+    piv = col[row]
+    prow = binv[row] / piv
+    theta = xb[row] / piv
+    rate = rc[enter]
+    rc[:-1] -= cols @ (rate * prow)
+    rc[-1] -= rate * theta
+    rates = col.copy()
     rates[row] = 0.0
-    tab -= np.outer(rates, tab[row])
-    tab[:, col] = 0.0
-    tab[row, col] = 1.0
-    basis[row] = col
+    binv -= np.outer(rates, prow)
+    binv[row] = prow
+    xb -= theta * rates
+    xb[row] = theta
+    basis[row] = enter
+    rc[basis] = 0.0
 
 
-def _reference_iterate(tab, basis, tol, max_iter, bland=False):
-    """The pivot loop as first written, one NumPy call per step: the reference for ``_iterate``."""
+def _reference_iterate(cols, binv, xb, rc, basis, tol, max_iter, bland=False):
+    """The revised pivot loop written plainly, one NumPy call per step: the reference for ``_iterate``."""
     it = 0
     stall = 0
     while True:
-        cost = tab[-1, :-1]
+        cost = rc[:-1]
         neg = np.flatnonzero(cost < -tol)
         if neg.size == 0:
             return it, True
@@ -322,11 +338,11 @@ def _reference_iterate(tab, basis, tol, max_iter, bland=False):
         else:
             worst = cost[neg].min()
             enter = int(neg[cost[neg] <= worst + 1e-15][0])
-        col = tab[:-1, enter]
+        col = binv @ cols[enter]
         rows = np.flatnonzero(col > tol)
         if rows.size == 0:
             return it, False
-        rhs = np.maximum(tab[rows, -1], 0.0)
+        rhs = np.maximum(xb[rows], 0.0)
         ratios = rhs / col[rows]
         if bland:
             best = ratios.min()
@@ -337,24 +353,24 @@ def _reference_iterate(tab, basis, tol, max_iter, bland=False):
             theta_max = np.min((rhs + slack_allow) / col[rows])
             cand = rows[ratios <= theta_max]
             leave = int(cand[np.argmax(col[cand])])
-        obj_before = tab[-1, -1]
-        _reference_pivot(tab, basis, leave, enter)
-        if abs(tab[-1, -1] - obj_before) <= 1e-13 * (1.0 + abs(obj_before)):
+        obj_before = rc[-1]
+        _reference_pivot(cols, binv, xb, rc, basis, leave, enter, col)
+        if abs(rc[-1] - obj_before) <= 1e-13 * (1.0 + abs(obj_before)):
             stall += 1
             if stall > qcr.simplex.STALL_LIMIT:
                 bland = True
         else:
             stall = 0
-        rhs = tab[:-1, -1]
-        clamp = -1e-10 * (1.0 + float(np.max(rhs, initial=0.0)))
-        rhs[(rhs < 0.0) & (rhs > clamp)] = 0.0
+        clamp = -1e-10 * (1.0 + float(np.max(xb, initial=0.0)))
+        xb[(xb < 0.0) & (xb > clamp)] = 0.0
         it += 1
         if it > max_iter:
             raise NumericError(f"simplex: iteration limit {max_iter} exceeded")
 
 
 def _forced_bland(loop):
-    return lambda tab, basis, tol, max_iter, bland=False: loop(tab, basis, tol, max_iter, True)
+    return lambda cols, binv, xb, rc, basis, tol, max_iter, bland=False: loop(
+        cols, binv, xb, rc, basis, tol, max_iter, True)
 
 
 # Dantzig pricing with the usual fallback, Bland's rule throughout, and a
@@ -420,38 +436,42 @@ def test_pivot_loop_matches_the_reference_on_warm_started_sequences(monkeypatch,
     assert sum(warm) >= 0.9 * (len(warm) - 6)
 
 
-# -- pivot-loop tolerances on hand-built tableaux ------------------------------------
+# -- pivot-loop tolerances on hand-built revised states ---------------------------------
 #
-# Rows are constraint rows then the reduced-cost row; columns are the dual
-# variables then the right-hand side. Column 0 enters on the first pivot.
+# The dual columns are the rows of ``cols``; the basis starts as the identity,
+# so B^-1 is the identity, and ``rc`` holds the reduced costs followed by minus
+# the objective. Column 0 enters on the first pivot.
 
 
 def test_pivot_clamps_only_round_off_negatives():
-    # row 0 leaves (rhs 3 after the pivot); rows 1 and 2 have no entry in the
-    # entering column, so the pivot leaves their right-hand sides as they are
+    # row 0 leaves (basic value 3 after the pivot); rows 1 and 2 have no entry
+    # in the entering column, so the pivot leaves their basic values as they are
     tiny, small = -1e-12, -1e-9 * (1.0 + 3.0)
-    tab = np.zeros((4, 5))
-    tab[:3, 1:4] = np.eye(3)
-    tab[0, 0], tab[0, -1] = 1.0, 3.0
-    tab[1, -1], tab[2, -1] = tiny, small
-    tab[-1, 0] = -1.0
+    cols = np.vstack([[1.0, 0.0, 0.0], np.eye(3)])
+    binv = np.eye(3)
+    xb = np.array([3.0, tiny, small])
+    rc = np.array([-1.0, 0.0, 0.0, 0.0, 0.0])
     basis = np.array([1, 2, 3])
-    assert qcr.simplex._iterate(tab, basis, qcr.simplex.PIVOT_TOL, 100) == (1, True)
+    assert qcr.simplex._iterate(cols, binv, xb, rc, basis, qcr.simplex.PIVOT_TOL, 100) == (1, True)
     assert list(basis) == [0, 2, 3]
-    # the clamp zeroes a negative within 1e-10 (1 + max rhs) and keeps a larger one
-    assert tab[1, -1] == 0.0
-    assert tab[2, -1] == small
+    assert xb[0] == 3.0
+    # the clamp zeroes a negative within 1e-10 (1 + max basic value) and keeps a larger one
+    assert xb[1] == 0.0
+    assert xb[2] == small
 
 
 @pytest.mark.parametrize("gap, leaving", [(5e-13, 1), (1e-9, 0)], ids=["tie", "no-tie"])
 def test_bland_ratio_ties_leave_by_the_smaller_basis_label(gap, leaving):
     # row 0 (basis label 5) has ratio 1, row 1 (label 2) ratio 1 + gap: within the
     # 1e-12 relative tie tolerance the smaller label leaves, beyond it the exact minimum
-    tab = np.zeros((3, 7))
-    tab[0, 5] = tab[1, 2] = 1.0
-    tab[0, 0] = tab[1, 0] = 1.0
-    tab[0, -1], tab[1, -1] = 1.0, 1.0 + gap
-    tab[-1, 0] = -1.0
+    cols = np.zeros((6, 2))
+    cols[5, 0] = cols[2, 1] = 1.0
+    cols[0] = 1.0
+    binv = np.eye(2)
+    xb = np.array([1.0, 1.0 + gap])
+    rc = np.zeros(7)
+    rc[0] = -1.0
     basis = np.array([5, 2])
-    assert qcr.simplex._iterate(tab, basis, qcr.simplex.PIVOT_TOL, 100, bland=True) == (1, True)
+    assert qcr.simplex._iterate(cols, binv, xb, rc, basis, qcr.simplex.PIVOT_TOL, 100,
+                                bland=True) == (1, True)
     assert basis[leaving] == 0
