@@ -52,7 +52,11 @@ from .simplex import PIVOT_TOL, solve_boxed_lp
 
 log = logging.getLogger("qcr.dual")
 
-MAX_CUTS_PER_ROUND = 10
+# cuts per round and their least relative spread in xi: on qubits the exact
+# oracle scores every cover jump, so up to 40 spread ones are kept; for d >= 3
+# a wider spread loses convergence on the d in {4, 5} commuting sweeps
+QUBIT_CUTS = (40, 0.2)
+SWEEP_CUTS = (10, 0.01)
 RESTORE_TOL = 1e-12
 QUBIT_COVER = 128
 EPS = float(np.finfo(float).eps)
@@ -280,24 +284,56 @@ class _Separation:
 
 def _spread_select(points: np.ndarray, candidate_idx: np.ndarray, count: int,
                    rel_dist: float) -> np.ndarray:
-    """Greedy selection of candidates kept pairwise apart at a relative scale.
+    """Greedy selection of up to ``count`` candidates kept pairwise apart at a relative scale.
 
     Candidates are taken in order; one is skipped when it lies within
-    rel_dist * (|y| + |y'| + 1e-6) of an already chosen y'.
+    rel_dist * (|y| + |y'| + 1e-6) of an already chosen y'. The qubit oracle
+    asks for up to 40 of its 129 candidates 0.2 apart, the d >= 3 sweeps for
+    up to 10 at 0.01. The scan's choice among the first candidates depends
+    on them alone, so it runs on the closeness matrix of a prefix of
+    4 * count candidates, and again on one twice as long while it runs past
+    the end with picks to spare: a pool sweep's 400-odd candidates would
+    make a full matrix cost more time and memory than the scan saves.
     """
     cand = points[candidate_idx]
     k = cand.shape[0]
     norms = np.sqrt((cand * cand).sum(axis=1))
-    free = np.ones(k + 1, dtype=bool)  # free[k] ends the scan for the next free candidate
-    chosen = []
-    j = 0
-    while j < k and len(chosen) < count:
-        chosen.append(j)
-        diff = cand[j + 1:] - cand[j]
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        free[j + 1: k] &= ~(dist <= rel_dist * (norms[j + 1:] + norms[j] + 1e-6))
-        j += 1 + int(free[j + 1:].argmax())
-    return cand[chosen]
+    size = min(k, 4 * count)
+    while True:
+        far = _far_pairs(cand[:size], norms[:size], rel_dist)
+        free = np.ones(size + 1, dtype=bool)
+        chosen = []
+        j = 0
+        while j < size and len(chosen) < count:
+            chosen.append(j)
+            # every candidate is close to itself, so this clears j as well
+            free &= far[j]
+            j = int(free.argmax())
+        if len(chosen) == count or size == k:
+            return cand[chosen]
+        size = min(k, 2 * size)
+
+
+def _far_pairs(cand: np.ndarray, norms: np.ndarray, rel_dist: float) -> np.ndarray:
+    """far[j, i]: candidate i lies beyond rel_dist * (|y_i| + |y_j| + 1e-6) of y_j.
+
+    The squared distances are summed coordinate by coordinate, in order, as
+    NumPy sums a row of fewer than eight; an extra last column of True ends
+    a scan for the next far candidate.
+    """
+    k = cand.shape[0]
+    sq = np.zeros((k, k))
+    for col in cand.T:
+        diff = np.subtract.outer(col, col)
+        diff *= diff
+        sq += diff
+    np.sqrt(sq, out=sq)
+    lim = np.add.outer(norms, norms)
+    lim += 1e-6
+    lim *= rel_dist
+    far = np.ones((k, k + 1), dtype=bool)
+    far[:, :k] = ~(sq <= lim)
+    return far
 
 
 def _hermitian(mats: np.ndarray) -> np.ndarray:
@@ -577,7 +613,10 @@ class _Engine:
         polished by descent until a step gains less than ``tol``; a ``pool``
         of witnesses adds its jumps, the 24 lowest polished, so the pool sweep
         finds all the plain one does. The points below ``-feas_tol`` are the
-        cut candidates.
+        cut candidates; from the most violated down, ``_spread_select`` keeps
+        up to 40 of them at least 0.2 relative distance apart at d = 2, where
+        every cover jump is scored and spread cuts take a third of the rounds
+        that bunched ones do, and up to 10 at 0.01 for d >= 3.
         """
         if self.d == 2:
             ys = self._jumps(b, *self.cover_coeffs)
@@ -585,6 +624,7 @@ class _Engine:
             r, f_best, min_value = self._qubit_min(b, s, float(np.min(vals)))
             all_pts = np.vstack([self._witness_jumps(b, _bloch_spinors(r[None])), ys])
             all_vals = np.concatenate([[f_best], vals])
+            count, rel_dist = QUBIT_CUTS
         else:
             ys = np.vstack([self._witness_jumps(b, self._sym2_witnesses(b, s)), np.zeros((1, self.m))])
             nsym = ys.shape[0]
@@ -596,10 +636,11 @@ class _Engine:
             all_pts = np.vstack([ys, pts])
             all_vals = np.concatenate([vals, pvals])
             min_value = float(np.min(all_vals))
+            count, rel_dist = SWEEP_CUTS
 
         order = np.argsort(all_vals)
         bad = order[all_vals[order] < -feas_tol]
-        violated = _spread_select(all_pts, bad, MAX_CUTS_PER_ROUND, 0.01)
+        violated = _spread_select(all_pts, bad, count, rel_dist)
         return _Separation(min_value, all_pts[order[0]].copy(), violated)
 
     # -- main loop ----------------------------------------------------------

@@ -399,6 +399,23 @@ def test_qubit_solves_are_certified(name, seed):
     assert sol.optimum <= optimal_random_bound(m, g) * (1.0 + 1e-12)
 
 
+def test_criterion_04_solves_stay_within_the_round_budget():
+    # criterion 04's ten instances; spreading each qubit round's cuts over the
+    # sphere brings them to 18-28 rounds, where the bunched cuts took 72-93
+    cfg = SolverConfig(feas_tol=1e-4, obj_tol=1e-4, seed=0)
+    rng = np.random.default_rng(4)
+    for alpha in (0.3, 0.6):
+        m = qubit(alpha)
+        for _ in range(5):
+            a = rng.normal(size=(3, 3))
+            g = a @ a.T + 0.3 * np.eye(3)
+            sol = solve_dual(m, g, cfg)
+            exact = optimal_random_bound(m, g)
+            assert sol.status == "converged" and sol.rounds <= 40
+            assert sol.certified
+            assert sol.optimum <= exact * (1.0 + 1e-12) <= sol.lp_value + 1e-4
+
+
 def test_solve_qubit_matches_random_bound(qubit_solution):
     m, sol = qubit_solution
     assert sol.status == "converged"
@@ -649,10 +666,12 @@ def test_spin1_rotation_model_stays_below_the_random_bound():
     assert sld <= sol.optimum <= sol.lp_value < 9.0
 
 
-@pytest.mark.parametrize("name", ["qutrit-diagonal", "commuting-d4"])
+@pytest.mark.parametrize("name", ["qutrit-diagonal", "commuting-d4", "qubit-full"])
 def test_solves_are_deterministic_and_restored_by_one_shift(name):
     if name == "qutrit-diagonal":
         m, g = builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25)), np.eye(2)
+    elif name == "qubit-full":
+        m, g = qubit(0.6), np.diag([1.0, 2.0, 0.7])
     else:
         m, g = commuting_model(4, 3, seed=4), np.eye(3)
     first, second = (solve_dual(m, g, SolverConfig(feas_tol=1e-5, obj_tol=1e-5, seed=seed))
@@ -840,18 +859,30 @@ def _reference_spread_select(points, candidate_idx, count, rel_dist):
     return cand[chosen]
 
 
-def test_spread_select_matches_the_reference():
-    rng = np.random.default_rng(93)
-    for trial in range(60):
-        k, m = int(rng.integers(0, 40)), int(rng.integers(1, 5))
+def _spread_cases(rng, trials, max_k, max_count, spread):
+    for _ in range(trials):
+        k, m = int(rng.integers(0, max_k + 1)), int(rng.integers(1, 5))
         # clusters of nearby points, so that many candidates are skipped; at the
         # smallest scales the absolute 1e-6 in the distance test decides
         centres = rng.normal(size=(int(rng.integers(1, 6)), m)) * 10.0 ** rng.integers(-9, 3)
-        points = centres[rng.integers(0, len(centres), size=k)] * (1.0 + 0.01 * rng.normal(size=(k, m)))
+        points = centres[rng.integers(0, len(centres), size=k)] * (1.0 + spread * rng.normal(size=(k, m)))
         idx = rng.permutation(k)[: int(rng.integers(0, k + 1))]
-        count = int(rng.integers(1, 12))
+        yield points, idx, int(rng.integers(1, max_count + 1))
+
+
+def test_spread_select_matches_the_reference():
+    rng = np.random.default_rng(93)
+    for points, idx, count in _spread_cases(rng, 60, 39, 11, 0.01):
         ours = qcr.dual._spread_select(points, idx, count, 0.01)
         assert np.array_equal(ours, _reference_spread_select(points, idx, count, 0.01))
+    # at the qubit oracle's size: up to 129 candidates (its minimizer and a
+    # 128-point cover) at both spreads the solver uses, and clusters wide
+    # enough for the 0.2 spread to keep some of a cluster and skip the rest
+    for rel_dist in (0.01, 0.2):
+        for spread in (0.01, 0.3):
+            for points, idx, count in _spread_cases(rng, 40, 129, 64, spread):
+                ours = qcr.dual._spread_select(points, idx, count, rel_dist)
+                assert np.array_equal(ours, _reference_spread_select(points, idx, count, rel_dist))
 
 
 def test_new_cuts_hold_their_rows_and_normalized_witnesses():
