@@ -26,6 +26,7 @@ from .measurement import (
     covariance,
     deviation,
     frontier_witness_2d,
+    frontier_witnesses_2d,
     is_locally_unbiased,
     mix_measurements,
     optimal_covariance,

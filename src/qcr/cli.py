@@ -22,7 +22,7 @@ from .dual import SolverConfig, random_model_certificate, separation_oracle, sol
 from .errors import NumericError, QcrError, ValidationError
 from .measurement import (
     covariance,
-    frontier_witness_2d,
+    frontier_witnesses_2d,
     optimal_random_bound,
     optimal_random_measurement,
     require_weight_matrix,
@@ -288,9 +288,9 @@ def cmd_limitset(args, model: StatisticalModel) -> Outcome:
     columns = [samples.reshape(len(samples), n * n), min_eigs[:, None]]
     if n == 2:
         header.append("det_witness")
-        dets = np.array([frontier_witness_2d(model, v).det for v in samples])
+        dets = frontier_witnesses_2d(model, samples)[1]
         columns.append(dets[:, None])
-    rows = np.hstack(columns).tolist()
+    rows = np.hstack(columns)
     if args.csv:
         try:
             write_csv(args.csv, header, rows)

@@ -103,6 +103,14 @@ class Cut:
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "v", v)
 
+    @classmethod
+    def _unchecked(cls, xi: np.ndarray, v: np.ndarray) -> Cut:
+        """A cut from a real tangent point and a finite, normalized complex witness, unchecked."""
+        cut = object.__new__(cls)
+        object.__setattr__(cut, "xi", xi)
+        object.__setattr__(cut, "v", v)
+        return cut
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -398,6 +406,7 @@ class _Engine:
         self.obj = np.asarray(obj, dtype=float)
         self.d = model.dim
         self.n_ops = model.n
+        self.ops_flat = self.ops.reshape(self.n_ops, -1)  # one tangent per row, for residuals
         self.m = self.G.shape[0]
         if self.obj.shape != (self.n_ops, self.m):
             raise ValidationError("objective block does not match the multiplier shape")
@@ -496,7 +505,9 @@ class _Engine:
         """Residual matrices at a batch of tangent points, one per row of ys."""
         quad = np.einsum("qi,ij,qj->q", ys, self.G, ys)
         coef = ys @ b.T
-        return quad[:, None, None] * self.rho[None] - s[None] - np.tensordot(coef, self.ops, axes=(1, 0))
+        # one expression: NumPy reuses its temporaries, a named term would stay alive
+        return (quad[:, None, None] * self.rho[None] - s[None]
+                - np.dot(coef, self.ops_flat).reshape(-1, self.d, self.d))
 
     def residual_mat(self, b: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Hermitian residual matrix at one tangent point."""
@@ -710,7 +721,9 @@ class _Engine:
         optimum = float(self.cvec[: self.nB] @ b.ravel()) + float(np.trace(s).real)
         lp_value = trace[-1].lp_value
         converged = lp_value - optimum <= config.obj_tol + self.d * feas_tol
-        return DualResult(optimum, DualPoint(b, s), list(map(Cut, cuts.xi, cuts.v)), len(trace),
+        # new_cuts stored every witness normalized: no need to check them again
+        final_cuts = list(map(Cut._unchecked, cuts.xi, cuts.v))
+        return DualResult(optimum, DualPoint(b, s), final_cuts, len(trace),
                           "converged" if converged else "unconverged", lp_value, feasibility,
                           self.d == 2, trace)
 

@@ -328,16 +328,35 @@ class FrontierWitness:
         return self.ok
 
 
-def frontier_witness_2d(model: StatisticalModel, v, tol: float = 1e-9) -> FrontierWitness:
-    """Two-parameter frontier test: X = V J - Id must have determinant 1."""
+def frontier_witnesses_2d(model: StatisticalModel, vs) -> tuple[np.ndarray, np.ndarray]:
+    """Two-parameter frontier test of a stack of covariances, in one batch.
+
+    ``vs`` is a ``(k, 2, 2)`` array; returns the ``(k, 2, 2)`` stack of
+    X = V J - Id and the ``(k,)`` array of det X, which is 1 on the frontier.
+    Each entry has the bits that ``frontier_witness_2d`` gives for that
+    sample alone.
+    """
     if model.n != 2:
         raise ValidationError("frontier witness requires a two-parameter model")
+    vm = np.asarray(vs, dtype=float)
+    if vm.ndim != 3 or vm.shape[1:] != (2, 2):
+        raise ValidationError(f"expected a stack of 2x2 covariances, got shape {vm.shape}")
+    x = vm @ model.fisher - np.eye(2)
+    return x, np.linalg.det(x)
+
+
+def frontier_witness_2d(model: StatisticalModel, v, tol: float = 1e-9) -> FrontierWitness:
+    """Two-parameter frontier test of one covariance: X = V J - Id must have determinant 1.
+
+    The one-sample case of ``frontier_witnesses_2d``; ``ok`` holds when
+    det X is within ``tol`` of 1.
+    """
     vm = np.asarray(v, dtype=float)
     if vm.shape != (2, 2):
         raise ValidationError(f"expected a 2x2 covariance, got {vm.shape}")
-    x = vm @ model.fisher - np.eye(2)
-    det = float(np.linalg.det(x))
-    return FrontierWitness(x, det, abs(det - 1.0) <= tol)
+    x, det = frontier_witnesses_2d(model, vm[None])
+    det = float(det[0])
+    return FrontierWitness(x[0], det, abs(det - 1.0) <= tol)
 
 
 def sample_locally_unbiased(model: StatisticalModel, rng: np.random.Generator,

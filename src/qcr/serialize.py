@@ -14,6 +14,7 @@ import numpy as np
 from .errors import ValidationError
 
 FLOAT_FORMAT = ".17g"
+CSV_CHUNK_ROWS = 256
 
 
 def _format_float(x: float) -> str:
@@ -84,10 +85,30 @@ def vector_to_list(v: np.ndarray) -> list:
     return [float(x) for x in np.asarray(v, dtype=float)]
 
 
-def write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
-    """CSV with one header row, 17-significant-digit decimals and LF endings."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_float(float(x)) for x in row))
+def write_csv(path: str, header: list[str], rows) -> None:
+    """CSV with one header row, 17-significant-digit decimals and LF endings.
+
+    ``rows`` is a 2-D real array with one column per header field. It is
+    validated before the file is opened: a wrong shape or a NaN or infinite
+    value raises ``ValidationError`` and writes nothing. Each value is
+    written as ``_format_float`` writes it, negative zero as 0. Rows are
+    formatted and written ``CSV_CHUNK_ROWS`` at a time, so memory beyond
+    the array does not grow with its length.
+    """
+    try:
+        a = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"CSV rows must be real numbers: {exc}") from exc
+    if a.ndim != 2 or a.shape[1] != len(header):
+        raise ValidationError(f"CSV rows must be a 2-D array with {len(header)} columns, "
+                              f"got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValidationError("reports must not contain NaN or infinite values")
+    # -0.0 + 0.0 is +0.0 and x + 0.0 is x for every other x
+    a = a + 0.0
+    line = ",".join([f"%{FLOAT_FORMAT}"] * a.shape[1]) + "\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for start in range(0, a.shape[0], CSV_CHUNK_ROWS):
+            chunk = a[start: start + CSV_CHUNK_ROWS].tolist()
+            fh.write("".join([line % tuple(row) for row in chunk]))

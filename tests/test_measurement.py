@@ -10,6 +10,7 @@ from qcr.measurement import (
     covariance,
     deviation,
     frontier_witness_2d,
+    frontier_witnesses_2d,
     is_locally_unbiased,
     mix_measurements,
     optimal_covariance,
@@ -369,6 +370,41 @@ def test_frontier_witness_examples():
 def test_frontier_witness_requires_two_parameters():
     with pytest.raises(ValidationError):
         frontier_witness_2d(qubit(), np.eye(2))
+    with pytest.raises(ValidationError):
+        frontier_witnesses_2d(qubit(), np.eye(2)[None])
+    with pytest.raises(ValidationError):
+        frontier_witnesses_2d(builtin_model("qubit-equatorial", alpha=0.6), np.eye(2))
+
+
+def _commuting_d4():
+    """The d = 4 commuting model with three parameters of the bench's closed-form workload."""
+    rng = np.random.default_rng(4)
+    rho = np.diag(0.8 * rng.dirichlet(np.ones(4)) + 0.2 / 4).astype(complex)
+    tangents = [np.diag(x - x.mean()).astype(complex) for x in rng.normal(size=(3, 4))]
+    return build_model(rho, tangents)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: builtin_model("qubit-full", alpha=0.6),
+    lambda: builtin_model("qubit-equatorial", alpha=0.3),
+    lambda: builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25)),
+    _commuting_d4,
+], ids=["qubit-full", "qubit-equatorial", "qutrit-diagonal", "commuting-d4"])
+def test_batched_frontier_witness_matches_per_sample_loop(make):
+    m = make()
+    samples = sample_frontier(m, 2000, seed=3)
+    if m.n != 2:
+        with pytest.raises(ValidationError):
+            frontier_witnesses_2d(m, samples)
+        return
+    x, dets = frontier_witnesses_2d(m, samples)
+    # reference: one matrix at a time, as det(V J - Id) was computed per sample
+    ref_x = np.array([v @ m.fisher - np.eye(2) for v in samples])
+    ref_dets = np.array([float(np.linalg.det(xv)) for xv in ref_x])
+    assert x.tobytes() == ref_x.tobytes()
+    assert dets.tobytes() == ref_dets.tobytes()
+    one = np.array([frontier_witness_2d(m, v).det for v in samples])
+    assert one.tobytes() == ref_dets.tobytes()
 
 
 # -- sampling and simulation ----------------------------------------------------

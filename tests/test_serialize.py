@@ -1,0 +1,49 @@
+import numpy as np
+import pytest
+
+from qcr.errors import ValidationError
+from qcr.serialize import CSV_CHUNK_ROWS, _format_float, write_csv
+
+
+def reference_csv(header, rows) -> bytes:
+    """One _format_float call per value: the writer's byte reference."""
+    lines = [",".join(header)] + [",".join(_format_float(float(x)) for x in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def test_write_csv_matches_per_value_formatting(tmp_path):
+    rng = np.random.default_rng(11)
+    special = [[-0.0, 0.0, 5e-324, -5e-324],
+               [1e22, -1e22, 1.0 / 3.0, -2.0 / 3.0],
+               [1.0, -7.0, 123456789.0, 2.0 ** 53],
+               [1e-310, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1]]
+    random = rng.normal(size=(600, 4)) * 10.0 ** rng.integers(-320, 300, size=(600, 4))
+    rows = np.vstack([special, random])
+    assert rows.shape[0] > 2 * CSV_CHUNK_ROWS
+    header = ["a", "b", "c", "d"]
+    path = tmp_path / "x.csv"
+    write_csv(str(path), header, rows)
+    assert path.read_bytes() == reference_csv(header, rows)
+    assert path.read_text().splitlines()[1] == "0,0,4.9406564584124654e-324,-4.9406564584124654e-324"
+    # nested lists are accepted as well as arrays
+    write_csv(str(path), header, rows.tolist())
+    assert path.read_bytes() == reference_csv(header, rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_csv_rejects_non_finite_rows_and_writes_nothing(tmp_path, bad):
+    path = tmp_path / "x.csv"
+    rows = np.ones((3, 2))
+    rows[2, 1] = bad
+    with pytest.raises(ValidationError):
+        write_csv(str(path), ["a", "b"], rows)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("rows", [np.ones((2, 3)), np.ones(2), np.ones((1, 2, 2)),
+                                  [[1.0, 2.0], [3.0]], [["a", "b"]]])
+def test_write_csv_rejects_rows_that_do_not_fit_the_header(tmp_path, rows):
+    path = tmp_path / "x.csv"
+    with pytest.raises(ValidationError):
+        write_csv(str(path), ["a", "b"], rows)
+    assert not path.exists()
