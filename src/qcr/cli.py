@@ -9,6 +9,7 @@ verbosity selected by the QCR_LOG environment variable (error, info, debug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -160,12 +161,16 @@ class Outcome:
 
 
 def run_command(args) -> int:
-    """Resolve the model, run ``args.func``, and emit its report as text or JSON."""
+    """Resolve the model, run ``args.command``, and emit its report as text or JSON.
+
+    The command body ``cmd_<command>`` is looked up in this module at call
+    time, so a patched ``qcr.cli.cmd_*`` takes effect on the next call.
+    """
     start = time.perf_counter()
     if args.seed is not None and args.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
     model = _resolve_model(args)
-    out = args.func(args, model)
+    out = globals()["cmd_" + args.command.replace("-", "_")](args, model)
     report = {"command": args.command, "model": _model_summary(model)}
     if out.seed is not None:
         report["seed"] = out.seed
@@ -347,6 +352,7 @@ def cmd_simulate(args, model: StatisticalModel) -> Outcome:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the ``qcr`` command line; ``main`` builds one per process and reuses it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--model", choices=["qubit-full", "qubit-equatorial", "qutrit-diagonal"])
     common.add_argument("--alpha", type=float)
@@ -364,31 +370,54 @@ def build_parser() -> argparse.ArgumentParser:
         description="Attainable covariance bounds for finite-dimensional quantum models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("info", parents=[common]).set_defaults(func=cmd_info)
-    sub.add_parser("bound", parents=[common]).set_defaults(func=cmd_bound)
+    sub.add_parser("info", parents=[common])
+    sub.add_parser("bound", parents=[common])
     dual = sub.add_parser("dual", parents=[common])
     dual.add_argument("--certify", action="store_true")
     dual.add_argument("--max-rounds", type=int)
-    dual.set_defaults(func=cmd_dual)
-    sub.add_parser("check-random", parents=[common]).set_defaults(func=cmd_check_random)
-    sub.add_parser("limitset", parents=[common]).set_defaults(func=cmd_limitset)
-    sub.add_parser("simulate", parents=[common]).set_defaults(func=cmd_simulate)
+    sub.add_parser("check-random", parents=[common])
+    sub.add_parser("limitset", parents=[common])
+    sub.add_parser("simulate", parents=[common])
     return parser
 
 
+# parse_args returns a fresh namespace and the parser holds no per-call
+# state, so one parser serves every call in a process
+_parser = functools.cache(build_parser)
+
+
+class _StderrHandler(logging.StreamHandler):
+    """Writes to the ``sys.stderr`` current at emit time, so a redirected stderr gets the lines."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.stream = sys.stderr
+        super().emit(record)
+
+
+_log_handler = _StderrHandler()
+_log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+
+
 def _configure_logging() -> None:
+    """Set the ``qcr`` loggers' level from QCR_LOG, read on every call; the handler goes on once."""
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("QCR_LOG", "error").lower(), logging.ERROR
     )
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logger = logging.getLogger("qcr")
+    logger.setLevel(level)
+    if _log_handler not in logger.handlers:
+        logger.addHandler(_log_handler)
 
 
 def main(argv=None) -> int:
+    """Run one ``qcr`` command and return its exit code (0/1/2/3).
+
+    The argument parser is built on the first call and reused by later calls
+    in the same process; QCR_LOG is read on every call.
+    """
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

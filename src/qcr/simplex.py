@@ -25,12 +25,18 @@ Logist. Q. 1, 1954): it keeps the dense nv x nv basis inverse B^-1, the
 basic values and the reduced costs, never the full tableau. A pivot costs
 one product of B^-1 with the entering column, one product of the dual
 columns with the leaving row of B^-1, which prices every column, and a
-rank-1 update of B^-1. Entering columns take the most negative reduced
-cost with smallest-index tie-breaking; the leaving row comes from a Harris
-two-pass ratio test, which keeps pivots large and bounds how far round-off
-can push any basic variable negative. After a long degenerate stall the
-method switches to Bland's rule outright, which rules out cycling, and
-every result is verified feasible before it is returned.
+rank-1 update of B^-1. On LPs this small (nv = 13 on a qubit, 73 at
+d = 8) a pivot's time goes more to the overhead of its NumPy calls on
+nv-vectors than to their arithmetic. A ratio test and basic-value update
+on Python floats gave the same bits, but while they took 13-17% less per
+pivot at nv = 13 they took 16-19% more at nv = 73 and slowed the d = 8
+solves end to end, so the whole loop stays in NumPy. Entering columns
+take the most negative reduced cost with smallest-index tie-breaking; the
+leaving row comes from a Harris two-pass ratio test, which keeps pivots
+large and bounds how far round-off can push any basic variable negative.
+After a long degenerate stall the method switches to Bland's rule
+outright, which rules out cycling, and every result is verified feasible
+before it is returned.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 import re
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import qcr
+import qcr.cli
 from qcr.cli import main
 from qcr.errors import NumericError
 from qcr.serialize import dumps_report
@@ -382,3 +384,67 @@ def test_report_shape(capsys, tmp_path, command):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert [line.split(":")[0].rstrip() for line in out.splitlines() if ":" in line] == labels
+
+
+# -- one parser per process ----------------------------------------------------------
+
+
+def _without_time(out):
+    report = json.loads(out)
+    report.pop("wall_time_s")
+    return report
+
+
+def test_reused_parser_carries_nothing_over(capsys):
+    info = ["info", "--model", "qubit-full", "--alpha", "0.6", "--json"]
+    code, before, _ = run(capsys, *info)
+    assert code == 0
+    code, out, _ = run(capsys, "dual", "--model", "qubit-full", "--alpha", "0.6", "--certify",
+                       "--max-rounds", "2", "--seed", "5", "--json")
+    assert code == 3 and json.loads(out)["seed"] == 5
+    code, after, _ = run(capsys, *info)
+    assert code == 0
+    assert _without_time(after) == _without_time(before)
+    # the shared parser gives the namespace a new parser gives
+    shared = qcr.cli._parser().parse_args(info)
+    assert shared is not qcr.cli._parser().parse_args(info)
+    assert vars(shared) == vars(qcr.cli.build_parser().parse_args(info))
+    assert qcr.cli._parser() is qcr.cli._parser()
+    assert qcr.cli.build_parser() is not qcr.cli.build_parser()
+
+
+def test_repeated_usage_errors_and_help(capsys):
+    runs = [run(capsys, "info", "--alpha", "abc") for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 2 and runs[0][1] == ""
+    assert "invalid float value: 'abc'" in runs[0][2]
+    helps = [run(capsys, "--help") for _ in range(2)]
+    assert helps[0] == helps[1]
+    assert helps[0][0] == 0 and helps[0][1].startswith("usage: qcr ")
+
+
+def test_patched_command_takes_effect_after_an_earlier_call(capsys, monkeypatch):
+    argv = ["bound", "--model", "qubit-full", "--alpha", "0.6"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "random-measurement bound" in out
+    monkeypatch.setattr(qcr.cli, "cmd_bound",
+                        lambda args, model: qcr.cli.Outcome({}, ["patched"], "false", 1))
+    assert run(capsys, *argv) == (1, "patched\n", "")
+
+
+def test_log_level_is_read_on_every_call(capsys, monkeypatch):
+    argv = ["dual", "--model", "qubit-full", "--alpha", "0.6", "--max-rounds", "2"]
+    qcr_logger = logging.getLogger("qcr")
+    level = qcr_logger.level
+    try:
+        monkeypatch.setenv("QCR_LOG", "error")
+        code, _, err = run(capsys, *argv)
+        assert code == 3 and err == ""
+        monkeypatch.setenv("QCR_LOG", "debug")
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        # one handler, writing to the stderr of this call
+        assert err.count("round 1:") == 1
+        assert err.startswith("DEBUG qcr.dual: round 1: ")
+    finally:
+        qcr_logger.setLevel(level)

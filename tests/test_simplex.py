@@ -1,8 +1,13 @@
+import copy
+
 import numpy as np
 import pytest
 
+import qcr.dual
 import qcr.simplex
 from qcr.errors import NumericError, ValidationError
+from qcr.model import build_model, builtin_model
+from qcr.operators import DensityOperator
 from qcr.simplex import solve_boxed_lp
 
 scipy_linprog = pytest.importorskip("scipy.optimize").linprog
@@ -434,6 +439,44 @@ def test_pivot_loop_matches_the_reference_on_warm_started_sequences(monkeypatch,
 
     _kelley_sequences(solve)
     assert sum(warm) >= 0.9 * (len(warm) - 6)
+
+
+def _solver_lps(model, g, config):
+    """The ``solve_boxed_lp`` calls of one ``solve_dual`` run, copied as they were made."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append(copy.deepcopy((args, kwargs)))
+        return solve_boxed_lp(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qcr.dual, "solve_boxed_lp", record)
+        qcr.dual.solve_dual(model, g, config)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def solver_lps():
+    """The LPs of an 8-round qubit-full solve (nv = 13) and a capped d = 8 commuting solve (nv = 73)."""
+    rng = np.random.default_rng(4)
+    d = 8
+    rho = np.diag(0.8 * rng.dirichlet(np.ones(d)) + 0.2 / d).astype(complex)
+    tangents = [np.diag(x - x.mean()).astype(complex) for x in rng.normal(size=(3, d))]
+    qubit = _solver_lps(builtin_model("qubit-full", alpha=0.6), np.eye(3),
+                        qcr.dual.SolverConfig(max_rounds=8))
+    commuting = _solver_lps(build_model(DensityOperator(rho), tangents), np.eye(3),
+                            qcr.dual.SolverConfig(feas_tol=1e-5, obj_tol=1e-5, max_rounds=12))
+    return {"qubit-full": qubit, "commuting-d8": commuting}
+
+
+@pytest.mark.parametrize("mode", PIVOT_MODES)
+@pytest.mark.parametrize("name, nv", [("qubit-full", 13), ("commuting-d8", 73)])
+def test_pivot_loop_matches_the_reference_on_the_solver_lps(monkeypatch, solver_lps, mode, name, nv):
+    calls = solver_lps[name]
+    assert len(calls) >= 6
+    for args, kwargs in calls:
+        assert np.asarray(args[0]).size == nv
+        _same_as_reference(monkeypatch, mode, *args, **kwargs)
 
 
 # -- pivot-loop tolerances on hand-built revised states ---------------------------------
