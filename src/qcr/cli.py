@@ -213,7 +213,7 @@ def cmd_bound(args, model: StatisticalModel) -> Outcome:
 
 def cmd_dual(args, model: StatisticalModel) -> Outcome:
     g = _resolve_weight(args, model)
-    kwargs = {"seed": args.seed if args.seed is not None else 0}
+    kwargs = {}
     if args.tol is not None:
         kwargs["feas_tol"] = args.tol
         kwargs["obj_tol"] = args.tol
@@ -256,8 +256,8 @@ def cmd_dual(args, model: StatisticalModel) -> Outcome:
             results["certificate"] = {"applicable": False, "witness_score": ran.score}
             text.append("certificate         : not applicable (randomness condition fails)")
     if res.status == "converged":
-        return Outcome(results, text, seed=config.seed)
-    return Outcome(results, text, "unconverged", EXIT_UNCONVERGED, config.seed)
+        return Outcome(results, text)
+    return Outcome(results, text, "unconverged", EXIT_UNCONVERGED)
 
 
 def cmd_check_random(args, model: StatisticalModel) -> Outcome:

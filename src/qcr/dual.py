@@ -23,11 +23,11 @@ is one exact shift and the reported optimum is a certified lower bound.
 For d >= 3 the oracle is a deterministic search: the lowest eigenvectors
 of the quartic separation form on the symmetric subspace Sym^2(C^d)
 (Doherty, Parrilo & Spedalieri, Phys. Rev. A 69, 022308, 2004) give the
-witnesses, whose jumps are polished by alternating descent. A clean sweep
-is repeated with the witnesses of the live cuts added, and only a clean
-repeat ends the rounds. At every d the final restoration is one such
-sweep (the one that ended the rounds, when it was clean) and one shift
-along the identity. For d >= 3 a sweep can miss a narrow violation;
+witnesses, whose jumps are polished by alternating descent. The rounds
+end at the first clean sweep (at d >= 3, a clean repeat with the witnesses
+of the live cuts added) or at the round cap. The final restoration is one
+sweep, the last round's own except after a capped d >= 3 run, and one
+shift along the identity. For d >= 3 a sweep can miss a narrow violation;
 together with the monotone LP relaxation value the optimum brackets the
 true optimum, and the width of that final bracket alone decides whether
 the solve converged.
@@ -676,12 +676,6 @@ class _Engine:
             lp_s = time.perf_counter() - tick
             if lp.status != "optimal":
                 raise NumericError(f"cutting-plane relaxation came back {lp.status}")
-            # no pivot after a round that added cuts (every warm round follows
-            # one): each new cut's reduced cost, its value at the unchanged
-            # point, is within the pivot tolerance of feasibility, so the
-            # relaxation cannot move
-            if lp.warm and lp.iterations == 0:
-                break
             b, s = self.unpack(lp.x)
             tick = time.perf_counter()
             # the plain sweep only supplies cuts, so its descent stops early
@@ -709,11 +703,11 @@ class _Engine:
             qi, ii = np.nonzero(take)
             cuts = cuts.extend(self.new_cuts(sep.violated[qi], vecs[qi, :, ii]))
 
-        # feasibility restoration: one pool sweep and one shift of S along the
-        # identity, which moves every residual eigenvalue alike; a clean sweep
-        # that ended the rounds (exact at d = 2, a pool sweep at d >= 3) was
-        # taken at this point with these cuts, and stands in for it
-        if trace[-1].sep_min < -feas_tol:
+        # feasibility restoration: one sweep and one shift of S along the
+        # identity, which moves every residual eigenvalue alike; the last
+        # round's sweep was taken at this point and serves, unless a capped
+        # d >= 3 run ended on it (the exact d = 2 sweep does not read the cuts)
+        if self.d > 2 and sep.min_value < -feas_tol:
             sep = self.separate(b, s, feas_tol, cuts.v)
         shift = sep.min_value - RESTORE_TOL if sep.min_value < -RESTORE_TOL else 0.0
         s = s + shift * np.eye(self.d)
@@ -739,13 +733,11 @@ def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -
     ``certified`` is True, and for d >= 3 as far as the sweep finds every
     violation. ``lp_value`` bounds the true optimum from above.
 
-    The rounds stop when a sweep, and at d >= 3 the pool sweep that adds
-    the witnesses of the live cuts, finds no violation beyond ``feas_tol``
-    (clamped at the simplex's pivot tolerance, see :class:`SolverConfig`),
-    when the round cap is reached, or when the warm re-solve after a round
-    that added cuts makes no pivot (every new cut within the simplex's
-    pivot tolerance of feasibility, so the relaxation cannot move).
-    Whichever ends them, ``status`` is ``"converged"`` if and only if
+    The rounds stop in one of two ways: when a sweep, and at d >= 3 the
+    pool sweep that adds the witnesses of the live cuts, finds no violation
+    beyond ``feas_tol`` (clamped at the simplex's pivot tolerance, see
+    :class:`SolverConfig`), or when the round cap is reached. Whichever
+    ends them, ``status`` is ``"converged"`` if and only if
     ``lp_value - optimum <= obj_tol + d * feas_tol``, and ``"unconverged"``
     otherwise. ``trace`` holds one :class:`DualRound` per round.
     """
@@ -766,14 +758,15 @@ def separation_oracle(model: StatisticalModel, g, dual: DualPoint,
     most violating point found is returned with its scalar cut; there a
     nonnegative ``min_value`` is evidence, not proof, of feasibility, and
     callers needing certainty should rely on the certificate-gap
-    identities. ``config.seed`` has no effect.
+    identities. The result does not depend on ``config``, which is kept for
+    callers that pass one.
     """
-    cfg = config or SolverConfig()
     gm = require_weight_matrix(g, model.n)
     if dual.a.shape != (model.n, model.n) or dual.s.shape != (model.dim, model.dim):
         raise ValidationError("dual point dimensions do not match the model")
     engine = _Engine(model, gm, np.eye(model.n))
-    sep = engine.separate(dual.a, dual.s, cfg.feas_tol)
+    # the tolerance only picks cut candidates, which are not returned
+    sep = engine.separate(dual.a, dual.s, PIVOT_TOL)
     v = np.linalg.eigh(engine.residual_mat(dual.a, dual.s, sep.best))[1][:, 0]
     return SeparationResult(sep.min_value, Cut(sep.best, v))
 

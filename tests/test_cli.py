@@ -349,7 +349,7 @@ REPORT_SHAPES = {
              ["rho eigenvalues", "fisher matrix J", "inverse J"]),
     "bound": ([], False, ["random_bound", "classical_bound", "gap"],
               ["random-measurement bound", "classical reference", "gap"]),
-    "dual": (["--tol", "1e-4", "--certify"], True,
+    "dual": (["--tol", "1e-4", "--certify"], False,
              ["optimum", "lp_value", "rounds", "n_cuts", "feasibility_residual", "solver_status",
               "certified", "dual_a", "dual_s", "certificate"],
              ["dual optimum", "lp relaxation value", "rounds / cuts", "feasibility residual",
@@ -401,7 +401,8 @@ def test_reused_parser_carries_nothing_over(capsys):
     assert code == 0
     code, out, _ = run(capsys, "dual", "--model", "qubit-full", "--alpha", "0.6", "--certify",
                        "--max-rounds", "2", "--seed", "5", "--json")
-    assert code == 3 and json.loads(out)["seed"] == 5
+    # the deterministic dual solve checks --seed but leaves it out of its report
+    assert code == 3 and "seed" not in json.loads(out)
     code, after, _ = run(capsys, *info)
     assert code == 0
     assert _without_time(after) == _without_time(before)

@@ -387,6 +387,12 @@ def test_descent_never_ends_above_its_start(tol):
 
 # -- solve_dual -------------------------------------------------------------------
 
+def _ends_clean_or_capped(sol, cfg):
+    """The rounds end only at a clean sweep (clamped at the pivot tolerance) or at the cap."""
+    return (sol.rounds == cfg.max_rounds
+            or sol.trace[-1].sep_min >= -max(cfg.feas_tol, qcr.simplex.PIVOT_TOL))
+
+
 @pytest.mark.parametrize("name, seed", [("qubit-full", 60), ("qubit-full", 61),
                                         ("qubit-equatorial", 60), ("qubit-equatorial", 61)])
 def test_qubit_solves_are_certified(name, seed):
@@ -395,6 +401,7 @@ def test_qubit_solves_are_certified(name, seed):
     a = rng.normal(size=(m.n, m.n))
     g = a @ a.T + 0.3 * np.eye(m.n)
     sol = solve_dual(m, g, CFG)
+    assert _ends_clean_or_capped(sol, CFG)
     assert sol.certified
     assert sol.optimum <= optimal_random_bound(m, g) * (1.0 + 1e-12)
 
@@ -490,24 +497,26 @@ def test_unconverged_status_and_best_point():
     assert sol.optimum <= 7.84 + 1e-6
 
 
-@pytest.mark.parametrize("case", ["identity", "diagonal", "qutrit"])
-def test_round_without_new_cut_ends_unconverged(case, monkeypatch):
-    # with the engine's clamp lowered below the simplex's pivot tolerance,
-    # tolerances this tight leave the solver with violated cuts that the LP
-    # prices within its pivot tolerance: the warm re-solve after they are
-    # added makes no pivot, and the loop stops early
-    monkeypatch.setattr(qcr.dual, "PIVOT_TOL", 1e-10)
-    if case == "qutrit":
-        m, g = builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25)), np.eye(2)
+@pytest.mark.parametrize("name, alpha, g", [
+    ("qubit-full", -0.9, np.eye(3)),
+    *[("qubit-full", alpha, np.diag([1.0, 1.0, 1.5625])) for alpha in (-0.6, -0.3, 0.3)],
+    ("qutrit-diagonal", None, np.eye(2)),
+], ids=["qubit-identity--0.9", "qubit-diagonal--0.6", "qubit-diagonal--0.3",
+        "qubit-diagonal-0.3", "qutrit"])
+def test_floor_tolerance_solves_end_at_a_clean_sweep_or_the_cap(name, alpha, g):
+    # at the documented floor feas_tol = obj_tol = 1e-9 a warm re-solve can
+    # make no pivot (each qubit case here makes one); the rounds go on to a
+    # clean sweep
+    if name == "qutrit-diagonal":
+        m = builtin_model(name, probs=(0.5, 0.25, 0.25))
         # a commuting model: the classical bound tr(G J^-1) is attained
         exact = float(np.trace(g @ m.fisher_inverse))
     else:
-        m, g = qubit(), np.eye(3) if case == "identity" else np.diag([1.0, 2.0, 0.7])
+        m = qubit(alpha)
         exact = optimal_random_bound(m, g)
-    cfg = SolverConfig(feas_tol=1e-10, obj_tol=1e-10, seed=0)
+    cfg = SolverConfig(feas_tol=1e-9, obj_tol=1e-9)
     sol = solve_dual(m, g, cfg)
-    assert sol.status == "unconverged"
-    assert sol.rounds < cfg.max_rounds
+    assert _ends_clean_or_capped(sol, cfg)
     assert len(sol.trace) == sol.rounds
     assert sol.certified == (m.dim == 2)
     assert sol.optimum <= exact <= sol.lp_value
@@ -552,6 +561,16 @@ def test_restoration_reuses_the_clean_sweep_that_ended_the_rounds(monkeypatch, n
     clean = sum(v >= -CFG.feas_tol for v in plain) if m.dim > 2 else 0
     assert len(calls) == sol.rounds + clean
     assert calls[-1][1] == sol.trace[-1].sep_min
+
+    # a capped run ends on a violated sweep: the exact qubit sweep does not
+    # read the cuts, so the last round's serves; at d >= 3 the restoration
+    # takes one pool sweep over the final cuts
+    calls.clear()
+    capped = SolverConfig(feas_tol=1e-5, obj_tol=1e-5, max_rounds=3)
+    sol = solve_dual(m, g, capped)
+    assert sol.rounds == 3 and sol.trace[-1].sep_min < -capped.feas_tol
+    pooled = [p for p, _ in calls]
+    assert pooled == [False] * 3 + ([True] if m.dim > 2 else [])
 
 
 # -- certificates -------------------------------------------------------------------
@@ -703,6 +722,7 @@ def test_commuting_model_bracket_is_sound(d, n, seed, rounds):
     g = np.eye(n)
     cfg = SolverConfig(feas_tol=1e-5, obj_tol=1e-5, max_rounds=rounds, seed=0)
     sol = solve_dual(m, g, cfg)
+    assert _ends_clean_or_capped(sol, cfg)
     # commuting models attain the classical bound
     exact = float(np.trace(g @ m.fisher_inverse))
     assert sol.optimum <= exact + cfg.obj_tol
