@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -169,6 +170,8 @@ def run_command(args) -> int:
     start = time.perf_counter()
     if args.seed is not None and args.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValidationError(f"--tol must be finite and positive, got {args.tol}")
     model = _resolve_model(args)
     out = globals()["cmd_" + args.command.replace("-", "_")](args, model)
     report = {"command": args.command, "model": _model_summary(model)}

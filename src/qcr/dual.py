@@ -8,10 +8,11 @@ tangent coordinates and a d x d Hermitian ``S``, subject to
 for every tangent coordinate vector xi. The semi-infinite PSD constraint
 is enforced through scalar cuts v^dag R(xi) v >= 0, each linear in
 (a, S); every round solves the relaxed LP with the embedded dense simplex,
-restarted from the previous round's basis, and a separation oracle
-supplies new violated cuts. For a fixed unit witness v the cut is a convex
-quadratic in xi with closed-form minimizer xi*(v), so the oracle searches
-the compact witness sphere.
+and a separation oracle supplies new violated cuts. Round 1 is the bare
+box LP, a box vertex with no cut rows and no pivot; each later round
+restarts from the previous round's basis. For a fixed unit witness v the
+cut is a convex quadratic in xi with closed-form minimizer xi*(v), so the
+oracle searches the compact witness sphere.
 
 On qubits (d = 2) the search is exact: with r the Bloch vector of v, the
 minimized cut is a ratio of a quadratic and an affine function of r, which
@@ -152,7 +153,8 @@ class SeparationResult:
 class DualRound:
     """What one cutting-plane round computed.
 
-    ``lp_value`` is the relaxation value, an upper bound on the optimum;
+    ``lp_value`` is the relaxation value, an upper bound on the optimum up
+    to the simplex's optimality tolerance (see :func:`solve_dual`);
     ``sep_min`` the separation minimum at the relaxation's point; and
     ``shifted_value = lp_value + d * min(0, sep_min)`` the objective of that
     point shifted along the identity by the separation minimum. The shifted
@@ -428,10 +430,6 @@ class _Engine:
         self.s_box = 2.0 * obj_f * math.sqrt(rank) * kap * sigma
 
         self.g_inv = (gv / gw) @ gv.T
-        if self.m == self.n_ops:
-            self.basis = np.array(model.fisher_isqrt)
-        else:
-            self.basis = np.diag(1.0 / np.sqrt(np.diag(self.G)))
 
         self.ub = np.full(self.nv, self.s_box)
         self.ub[: self.nB] = self.b_box
@@ -659,11 +657,8 @@ class _Engine:
     def solve(self, config: SolverConfig) -> DualResult:
         # the LP cannot act on cuts violated by less than its pivot tolerance
         feas_tol = max(config.feas_tol, PIVOT_TOL)
-        # seed cuts: every eigenvector of rho at xi = 0 and at +-basis[i]
-        seeds = np.vstack([np.zeros((1, self.m)),
-                           np.stack([self.basis, -self.basis], axis=1).reshape(-1, self.m)])
-        cuts = self.new_cuts(np.repeat(seeds, self.d, axis=0),
-                             np.tile(np.linalg.eigh(self.rho)[1].T, (seeds.shape[0], 1)))
+        # round 1 is the bare box LP: its cut rows all come from the sweeps
+        cuts = self.new_cuts(np.zeros((0, self.m)), np.zeros((0, self.d), dtype=complex))
 
         trace: list[DualRound] = []
         b = np.zeros((self.n_ops, self.m))
@@ -731,7 +726,10 @@ def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -
     minimum after it), a lower bound on the deviation of every locally
     unbiased measurement: certified on qubits, where the sweep is exact and
     ``certified`` is True, and for d >= 3 as far as the sweep finds every
-    violation. ``lp_value`` bounds the true optimum from above.
+    violation. ``lp_value`` bounds the true optimum from above up to the
+    simplex's optimality tolerance: the simplex stops once no reduced cost
+    is below ``-qcr.simplex.PIVOT_TOL`` (1e-9), so ``lp_value`` may fall
+    short of the exact optimum by up to ``PIVOT_TOL`` times it.
 
     The rounds stop in one of two ways: when a sweep, and at d >= 3 the
     pool sweep that adds the witnesses of the live cuts, finds no violation

@@ -315,6 +315,11 @@ MALFORMED_NUMBERS = [
      None, None),
     ("tol-inf", ["dual", "--model", "qubit-full", "--alpha", "0.6", "--tol", "inf", "--seed", "0"],
      None, None),
+    # every command checks --tol, not only the one that reads it
+    *[(f"tol-{name}-{command}", [command, "--model", "qubit-full", "--alpha", "0.6", "--tol", tol,
+                                 *(["--samples", "10", "--seed", "1"] if command == "simulate" else [])],
+       None, None)
+      for command in ("info", "bound", "simulate") for name, tol in (("negative", "-1"), ("zero", "0"))],
     ("seed-negative-dual", ["dual", "--model", "qubit-full", "--alpha", "0.6", "--seed", "-1"],
      None, None),
     ("seed-negative-simulate", ["simulate", "--model", "qubit-full", "--alpha", "0.6",
