@@ -32,7 +32,7 @@ from .measurement import (
     simulate,
 )
 from .model import StatisticalModel, build_model, builtin_model
-from .operators import DensityOperator
+from .operators import DensityOperator, require_hermitian
 from .randomness import is_random_model
 from .serialize import (
     complex_matrix_to_lists,
@@ -66,12 +66,10 @@ def _parse_complex_matrix(node, dim: int, name: str) -> np.ndarray:
     im = _float_array(node["im"], f"{name}.im")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValidationError(f"{name}: expected {dim}x{dim} 're' and 'im' blocks")
-    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
-        raise ValidationError(f"{name}: entries must be finite")
-    h = re + 1j * im
-    if np.max(np.abs(h - h.conj().T)) > FILE_HERMITIAN_TOL:
-        raise ValidationError(f"{name}: matrix is not Hermitian within {FILE_HERMITIAN_TOL:.0e}")
-    return (h + h.conj().T) / 2.0
+    # not re + 1j * im: an infinite imaginary part would warn in 1j * inf
+    h = re.astype(complex)
+    h.imag = im
+    return require_hermitian(h, tol=FILE_HERMITIAN_TOL, name=name)
 
 
 def _read_json(path: str, kind: str):

@@ -48,6 +48,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .measurement import optimal_weight_operator, require_int, require_weight_matrix
 from .model import PAULI_1, PAULI_2, PAULI_3, StatisticalModel, _as_coords, build_model
+from .operators import require_hermitian
 from .randomness import is_random_model
 from .simplex import PIVOT_TOL, solve_boxed_lp
 
@@ -59,6 +60,7 @@ log = logging.getLogger("qcr.dual")
 QUBIT_CUTS = (40, 0.2)
 SWEEP_CUTS = (10, 0.01)
 RESTORE_TOL = 1e-12
+DESCENT_STEPS = 40
 QUBIT_COVER = 128
 EPS = float(np.finfo(float).eps)
 PAULIS = np.stack([PAULI_1, PAULI_2, PAULI_3])
@@ -73,44 +75,18 @@ class DualPoint:
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=float)
-        s = np.asarray(self.s, dtype=complex)
         if a.ndim != 2 or not np.all(np.isfinite(a)):
             raise ValidationError("dual point: a must be a finite real matrix")
-        if s.ndim != 2 or s.shape[0] != s.shape[1]:
-            raise ValidationError("dual point: S must be square")
-        if not np.all(np.isfinite(s)):
-            raise ValidationError("dual point: S must be finite")
-        if np.max(np.abs(s - s.conj().T)) > 1e-10:
-            raise ValidationError("dual point: S must be Hermitian")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "s", (s + s.conj().T) / 2.0)
+        object.__setattr__(self, "s", require_hermitian(self.s, tol=1e-10, name="dual point S"))
 
 
 @dataclass(frozen=True)
 class Cut:
-    """Scalar linearization v^dag R(xi) v >= 0 of the conic constraint."""
+    """Scalar linearization v^dag R(xi) v >= 0 of the conic constraint, v a unit witness."""
 
     xi: np.ndarray
     v: np.ndarray
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        v = np.asarray(self.v, dtype=complex)
-        if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(v))):
-            raise ValidationError("cut: tangent point and witness vector must be finite")
-        nrm = float(np.linalg.norm(v))
-        if abs(nrm - 1.0) > 1e-12:
-            raise ValidationError(f"cut: witness vector norm {nrm!r} is not 1")
-        object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "v", v)
-
-    @classmethod
-    def _unchecked(cls, xi: np.ndarray, v: np.ndarray) -> Cut:
-        """A cut from a real tangent point and a finite, normalized complex witness, unchecked."""
-        cut = object.__new__(cls)
-        object.__setattr__(cut, "xi", xi)
-        object.__setattr__(cut, "v", v)
-        return cut
 
 
 @dataclass(frozen=True)
@@ -368,28 +344,25 @@ class _Cuts(NamedTuple):
         """These cuts followed by ``new``."""
         return _Cuts(*map(np.concatenate, zip(self, new)))
 
-    def retire(self, x: np.ndarray, floor: int,
-               basis: np.ndarray) -> tuple[_Cuts, np.ndarray | None]:
+    def retire(self, x: np.ndarray, floor: int, basis: np.ndarray) -> tuple[_Cuts, np.ndarray]:
         """Age the cuts at x and drop those slack for 8 consecutive rounds.
 
-        Nothing ages while at most ``floor`` cuts are live. Returns the kept
-        cuts and the LP basis with its cut labels renumbered to match; a
-        basic cut is tight and never dropped, but were one dropped the basis
-        comes back as None and the next LP starts cold.
+        Nothing ages while at most ``floor`` cuts are live. A basic cut is
+        kept whatever its age (complementary slackness makes it tight).
+        Returns the kept cuts and the LP basis with its cut labels
+        renumbered to match.
         """
         if self.rhs.size <= floor:
             return self, basis
         tight = self.rhs - self.rows @ x <= 1e-8 * (1.0 + np.abs(self.rhs))
         cuts = self._replace(age=np.where(tight, 0, self.age + 1))
         keep = cuts.age < 8
+        basic = basis >= 0
+        keep[basis[basic]] = True
         if keep.all():
             return cuts, basis
-        basic = basis >= 0
-        if not keep[basis[basic]].all():
-            basis = None
-        else:
-            basis = basis.copy()
-            basis[basic] = (np.cumsum(keep) - 1)[basis[basic]]
+        basis = basis.copy()
+        basis[basic] = (np.cumsum(keep) - 1)[basis[basic]]
         return _Cuts(*(field[keep] for field in cuts)), basis
 
 
@@ -398,20 +371,19 @@ class _Engine:
 
     The standard dual uses a square B = a with objective tr(a); the
     submodel comparison reuses the same engine with a rectangular B and a
-    projected objective.
+    projected objective. ``g`` is a weight matrix its callers have already
+    validated, and ``obj`` is n x m for the m x m ``g``.
     """
 
-    def __init__(self, model: StatisticalModel, g, obj: np.ndarray):
+    def __init__(self, model: StatisticalModel, g: np.ndarray, obj: np.ndarray):
         self.rho = np.asarray(model.rho.matrix)
         self.ops = np.stack([np.asarray(t) for t in model.tangent])
-        self.G = require_weight_matrix(g)
+        self.G = g
         self.obj = np.asarray(obj, dtype=float)
         self.d = model.dim
         self.n_ops = model.n
         self.ops_flat = self.ops.reshape(self.n_ops, -1)  # one tangent per row, for residuals
         self.m = self.G.shape[0]
-        if self.obj.shape != (self.n_ops, self.m):
-            raise ValidationError("objective block does not match the multiplier shape")
         d = self.d
         self.iu = np.triu_indices(d, 1)
         self.npair = self.iu[0].size
@@ -527,19 +499,19 @@ class _Engine:
         bloch = quad[:, None] * self.rho_bloch - s_bloch - coef @ self.ops_bloch
         return 0.5 * (tr - np.sqrt(np.einsum("qj,qj->q", bloch, bloch)))
 
-    def _descend(self, b, s, pts: np.ndarray, tol: float,
-                 iters: int = 40) -> tuple[np.ndarray, np.ndarray]:
+    def _descend(self, b, s, pts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         """Alternating descent on lambda_min of the residual.
 
         For a fixed witness vector v the scalar cut is a convex quadratic in
         y with exact minimizer; alternating that step with the smallest
         eigenvector of the residual decreases lambda_min monotonically and
         lands on critical points in a handful of iterations. A point leaves
-        the batch once a step gains less than ``tol``.
+        the batch once a step gains less than ``tol``, and every point after
+        ``DESCENT_STEPS`` steps.
         """
         best_pts, best = pts.copy(), np.full(pts.shape[0], np.inf)
         live = np.arange(pts.shape[0])
-        for _ in range(iters + 1):
+        for _ in range(DESCENT_STEPS + 1):
             w, vecs = np.linalg.eigh(self.residuals(b, s, pts))
             gain = best[live] - w[:, 0]
             better = gain > 0
@@ -661,8 +633,6 @@ class _Engine:
         cuts = self.new_cuts(np.zeros((0, self.m)), np.zeros((0, self.d), dtype=complex))
 
         trace: list[DualRound] = []
-        b = np.zeros((self.n_ops, self.m))
-        s = np.zeros((self.d, self.d), dtype=complex)
         start = None  # the last round's basis; appended cut rows leave it valid
         for rnd in range(1, config.max_rounds + 1):
             tick = time.perf_counter()
@@ -710,9 +680,7 @@ class _Engine:
         optimum = float(self.cvec[: self.nB] @ b.ravel()) + float(np.trace(s).real)
         lp_value = trace[-1].lp_value
         converged = lp_value - optimum <= config.obj_tol + self.d * feas_tol
-        # new_cuts stored every witness normalized: no need to check them again
-        final_cuts = list(map(Cut._unchecked, cuts.xi, cuts.v))
-        return DualResult(optimum, DualPoint(b, s), final_cuts, len(trace),
+        return DualResult(optimum, DualPoint(b, s), list(map(Cut, cuts.xi, cuts.v)), len(trace),
                           "converged" if converged else "unconverged", lp_value, feasibility,
                           self.d == 2, trace)
 

@@ -22,6 +22,7 @@ WEIGHT_SUM_TOL = 1e-12
 WEIGHT_PD_TOL = 1e-10
 WEIGHT_SYM_TOL = 1e-12
 UNBIASED_TOL = 1e-8
+CERTIFICATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -127,11 +128,12 @@ def _observable_means(model: StatisticalModel, p: RandomMeasurement) -> np.ndarr
     )
 
 
-def is_locally_unbiased(model: StatisticalModel, p: RandomMeasurement, tol: float = UNBIASED_TOL) -> UnbiasednessReport:
+def is_locally_unbiased(model: StatisticalModel, p: RandomMeasurement) -> UnbiasednessReport:
     """Check the two local-unbiasedness conditions with residual diagnostics.
 
     (i) the weighted sum of direction (x) J-observable dyads equals the identity;
     (ii) the expected estimate at the model point vanishes.
+    Each holds when its residual is at most ``UNBIASED_TOL``.
     """
     if p.n != model.n:
         raise ValidationError(f"measurement dimension {p.n} != model dimension {model.n}")
@@ -143,12 +145,12 @@ def is_locally_unbiased(model: StatisticalModel, p: RandomMeasurement, tol: floa
         mean += a.weight * (m * a.direction + a.shift)
     jac_res = float(np.linalg.norm(jac - np.eye(model.n)))
     mean_res = float(np.linalg.norm(mean))
-    return UnbiasednessReport(jac_res <= tol and mean_res <= tol, jac_res, mean_res)
+    return UnbiasednessReport(jac_res <= UNBIASED_TOL and mean_res <= UNBIASED_TOL, jac_res, mean_res)
 
 
-def covariance(model: StatisticalModel, p: RandomMeasurement, tol: float = UNBIASED_TOL) -> np.ndarray:
+def covariance(model: StatisticalModel, p: RandomMeasurement) -> np.ndarray:
     """Covariance matrix of a locally unbiased random measurement."""
-    rep = is_locally_unbiased(model, p, tol)
+    rep = is_locally_unbiased(model, p)
     if not rep:
         raise UnbiasednessError(
             "measurement is not locally unbiased "
@@ -166,10 +168,10 @@ def covariance(model: StatisticalModel, p: RandomMeasurement, tol: float = UNBIA
     return (v + v.T) / 2.0
 
 
-def deviation(model: StatisticalModel, g, p: RandomMeasurement, tol: float = UNBIASED_TOL) -> float:
+def deviation(model: StatisticalModel, g, p: RandomMeasurement) -> float:
     """Weighted risk tr(G V) of the measurement's covariance."""
     gm = require_weight_matrix(g, model.n)
-    return float(np.trace(gm @ covariance(model, p, tol)))
+    return float(np.trace(gm @ covariance(model, p)))
 
 
 def _whitened_weight_sqrt(model: StatisticalModel, g) -> np.ndarray:
@@ -241,12 +243,13 @@ class CertificateReport:
         return self.gap
 
 
-def random_certificate_gap(model: StatisticalModel, g, p: RandomMeasurement, a, s: float,
-                           tol: float = 1e-9) -> CertificateReport:
+def random_certificate_gap(model: StatisticalModel, g, p: RandomMeasurement, a,
+                           s: float) -> CertificateReport:
     """Average slack sum_k w_k [g(x,x)||X||^2 - <X, a(x)> - S] of a multiplier.
 
-    Also reports the smallest per-atom integrand and, when the measurement is
-    locally unbiased, the residual of the identity gap = deviation - tr a - S.
+    Also reports the smallest per-atom integrand (``pointwise_ok`` when it is
+    at least ``-CERTIFICATE_TOL``) and, when the measurement is locally
+    unbiased, the residual of the identity gap = deviation - tr a - S.
     """
     gm = require_weight_matrix(g, model.n)
     am = np.asarray(a, dtype=float)
@@ -266,7 +269,7 @@ def random_certificate_gap(model: StatisticalModel, g, p: RandomMeasurement, a, 
     identity = float("nan")
     if rep:
         identity = abs(gap - (deviation(model, gm, p) - float(np.trace(am)) - float(s)))
-    return CertificateReport(gap, pmin, pmin >= -tol, identity)
+    return CertificateReport(gap, pmin, pmin >= -CERTIFICATE_TOL, identity)
 
 
 def shift_measurement(p: RandomMeasurement, x) -> RandomMeasurement:

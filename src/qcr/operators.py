@@ -51,9 +51,9 @@ class SpectralDecomposition:
         return (v * self.eigenvalues) @ v.conj().T
 
 
-def eigh(matrix, *, tol: float = HERMITIAN_TOL, name: str = "operator") -> SpectralDecomposition:
+def eigh(matrix, *, name: str = "operator") -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix."""
-    h = require_hermitian(matrix, tol=tol, name=name)
+    h = require_hermitian(matrix, name=name)
     try:
         w, v = np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
@@ -80,7 +80,6 @@ class DensityOperator:
     """
 
     matrix: np.ndarray
-    floor: float = POSITIVITY_FLOOR
 
     def __post_init__(self):
         m = require_hermitian(self.matrix, name="rho")
@@ -88,9 +87,9 @@ class DensityOperator:
         if abs(trace - 1.0) > TRACE_TOL:
             raise ValidationError(f"rho: trace {trace!r} differs from 1 beyond {TRACE_TOL:.1e}")
         smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < self.floor:
+        if smallest < POSITIVITY_FLOOR:
             raise SingularModelError(
-                f"rho: eigenvalue {smallest:.3e} below positivity floor {self.floor:.1e}"
+                f"rho: eigenvalue {smallest:.3e} below positivity floor {POSITIVITY_FLOOR:.1e}"
             )
         object.__setattr__(self, "matrix", _readonly(m))
 
@@ -136,12 +135,12 @@ def solve_sym_product(rho: DensityOperator, a) -> np.ndarray:
     return (x + x.conj().T) / 2.0
 
 
-def sqrt_psd(matrix, *, clip: float = PSD_CLIP_BAND, name: str = "operator") -> np.ndarray:
+def sqrt_psd(matrix, *, name: str = "operator") -> np.ndarray:
     """Positive square root of a PSD Hermitian matrix."""
     dec = eigh(matrix, name=name)
     w = dec.eigenvalues
-    if w[0] < -clip:
-        raise NotPsdError(f"{name}: eigenvalue {w[0]:.3e} below -{clip:.1e}, not PSD")
+    if w[0] < -PSD_CLIP_BAND:
+        raise NotPsdError(f"{name}: eigenvalue {w[0]:.3e} below -{PSD_CLIP_BAND:.1e}, not PSD")
     w = np.where(w < 0.0, 0.0, w)
     v = dec.eigenvectors
     out = (v * np.sqrt(w)) @ v.conj().T

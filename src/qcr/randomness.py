@@ -81,12 +81,11 @@ class RandomnessReport:
         return self.verdict
 
 
-def is_random_model(model: StatisticalModel, tol: float = RANDOMNESS_TOL,
-                    basis: np.ndarray | None = None) -> RandomnessReport:
+def is_random_model(model: StatisticalModel, basis: np.ndarray | None = None) -> RandomnessReport:
     """Decide the randomness condition and report the constant block or a witness.
 
     ``score`` is the largest residual over the off-diagonal blocks and the
-    diagonal-block differences; the verdict is ``score <= tol``.
+    diagonal-block differences; the verdict is ``score <= RANDOMNESS_TOL``.
     """
     table = bilinear_table(model, basis)
     n = table.n
@@ -104,10 +103,10 @@ def is_random_model(model: StatisticalModel, tol: float = RANDOMNESS_TOL,
                 if res > off_best[0]:
                     off_best = (res, (i, j))
             score = max(score, res)
-    if score <= tol:
+    if score <= RANDOMNESS_TOL:
         return RandomnessReport(True, table.blocks[0, 0].copy(), None, score)
     # an off-diagonal block that fails to vanish is the more direct evidence
-    witness = off_best[1] if off_best[0] > tol else diag_best[1]
+    witness = off_best[1] if off_best[0] > RANDOMNESS_TOL else diag_best[1]
     return RandomnessReport(False, None, witness, score)
 
 

@@ -7,7 +7,6 @@ import pytest
 import qcr.dual
 import qcr.simplex
 from qcr.dual import (
-    Cut,
     DualPoint,
     SolverConfig,
     _Cuts,
@@ -960,12 +959,14 @@ X_HALF = np.array([0.5, 0.5])
 
 def test_retire_ages_nothing_at_or_below_the_floor():
     cuts = _hand_cuts([2.0] * 5, [7] * 5)
-    basis = np.array([0, -1])
+    basis = np.array([2, -1])
     kept, new_basis = cuts.retire(X_HALF, 5, basis)
     assert kept is cuts and new_basis is basis
-    # one cut more than the floor: every slack cut ages, and all reach 8
+    # one cut more than the floor: every slack cut ages and reaches 8; all
+    # but the basic one go, and its basis label is renumbered
     kept, new_basis = cuts.retire(X_HALF, 4, basis)
-    assert kept.rhs.size == 0 and new_basis is None
+    assert np.array_equal(kept.age, [8]) and np.array_equal(kept.xi, cuts.xi[2:3])
+    assert np.array_equal(new_basis, [0, -1])
 
 
 def test_retire_keeps_order_and_renumbers_the_basis():
@@ -988,10 +989,12 @@ def test_retire_keeps_order_and_renumbers_the_basis():
     assert np.array_equal(again.age, [0, 5, 0, 2, 0]) and same is new_basis
 
 
-def test_retiring_a_basic_row_drops_the_basis():
-    cuts = _hand_cuts([1.0, 2.0, 1.0], [0, 7, 0])
-    kept, new_basis = cuts.retire(X_HALF, 0, np.array([2, 1, -1]))
-    assert kept.rhs.size == 2 and new_basis is None
+def test_retire_keeps_a_basic_row():
+    # cuts 0 and 1 are slack and reach age 8; cut 1 is basic and stays
+    cuts = _hand_cuts([2.0, 2.0, 1.0], [7, 7, 0])
+    kept, new_basis = cuts.retire(X_HALF, 0, np.array([1, 2, -1]))
+    assert np.array_equal(kept.age, [8, 0]) and np.array_equal(kept.xi, cuts.xi[1:])
+    assert np.array_equal(new_basis, [0, 1, -1])
 
 
 def test_solved_cuts_are_unit_and_distinct(qubit_solution):
@@ -1010,12 +1013,7 @@ def test_solved_cuts_are_unit_and_distinct(qubit_solution):
         assert not np.any(same)
 
 
-# -- cut and config types ---------------------------------------------------------------
-
-def test_cut_requires_unit_witness():
-    with pytest.raises(ValidationError):
-        Cut(np.zeros(3), np.array([1.0, 1.0]))
-
+# -- dual point, weight and config types ---------------------------------------------------------------
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_dual_points_and_cuts_are_rejected(bad):
@@ -1023,10 +1021,6 @@ def test_non_finite_dual_points_and_cuts_are_rejected(bad):
         DualPoint(np.eye(3), [[bad, 0.0], [0.0, -1.0]])
     with pytest.raises(ValidationError):
         DualPoint(np.eye(3), [[-1.0, 1j * bad], [-1j * bad, -1.0]])
-    with pytest.raises(ValidationError):
-        Cut(np.zeros(3), [bad, 0.0])
-    with pytest.raises(ValidationError):
-        Cut(np.array([0.0, bad, 0.0]), [1.0, 0.0])
     with pytest.raises(ValidationError):
         residual(qubit(), np.eye(3), DualPoint(np.eye(3), -np.eye(2)), [0.0, bad, 0.0])
 
@@ -1053,6 +1047,34 @@ def test_non_finite_dual_points_and_cuts_are_rejected(bad):
 def test_non_integer_counts_and_seeds_are_input_errors(call):
     with pytest.raises(ValidationError):
         call(qubit())
+
+
+def _bad_weight(kind, n):
+    if kind == "not-pd":
+        return np.diag([1.0] * (n - 1) + [-1.0])
+    if kind == "asymmetric":
+        g = np.eye(n)
+        g[0, 1] = 0.5
+        return g
+    return np.eye(n + 1)  # wrong size
+
+
+@pytest.mark.parametrize("kind", ["not-pd", "asymmetric", "wrong-size"])
+@pytest.mark.parametrize("call, n", [
+    pytest.param(lambda m, g: solve_dual(m, g), 3, id="solve_dual"),
+    pytest.param(lambda m, g: separation_oracle(m, g, DualPoint(np.eye(3), -np.eye(2))), 3,
+                 id="separation_oracle"),
+    pytest.param(lambda m, g: dual_submodel_inequality(m, [0, 1], g), 2,
+                 id="dual_submodel_inequality"),
+])
+def test_bad_weight_is_rejected_before_any_engine(monkeypatch, call, n, kind):
+    # the engine takes G as validated, so each entry point must check it first
+    def no_engine(*args):
+        raise AssertionError("an engine was built")
+
+    monkeypatch.setattr(qcr.dual, "_Engine", no_engine)
+    with pytest.raises(ValidationError):
+        call(qubit(), _bad_weight(kind, n))
 
 
 def test_config_validation():
