@@ -86,12 +86,12 @@ def load_model_file(path: str) -> StatisticalModel:
     doc = _read_json(path, "model")
     if not isinstance(doc, dict) or "dim" not in doc:
         raise ValidationError("model file: expected an object with 'dim', 'rho' and 'tangent'")
-    try:
-        dim = int(doc["dim"])
-        if isinstance(doc["dim"], float) and dim != doc["dim"]:
-            raise ValueError("not integral")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"model file: 'dim' must be an integer, got {doc['dim']!r}") from exc
+    dim = doc["dim"]
+    if isinstance(dim, float) and dim.is_integer():
+        dim = int(dim)
+    # bool is an int subclass: true would read as 1
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ValidationError(f"model file: 'dim' must be a positive integer, got {doc['dim']!r}")
     rho = _parse_complex_matrix(doc.get("rho"), dim, "rho")
     tangent_nodes = doc.get("tangent")
     if not isinstance(tangent_nodes, list) or not tangent_nodes:

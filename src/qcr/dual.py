@@ -24,14 +24,14 @@ is one exact shift and the reported optimum is a certified lower bound.
 For d >= 3 the oracle is a deterministic search: the lowest eigenvectors
 of the quartic separation form on the symmetric subspace Sym^2(C^d)
 (Doherty, Parrilo & Spedalieri, Phys. Rev. A 69, 022308, 2004) give the
-witnesses, whose jumps are polished by alternating descent. The rounds
-end at the first clean sweep (at d >= 3, a clean repeat with the witnesses
-of the live cuts added) or at the round cap. The final restoration is one
-sweep, the last round's own except after a capped d >= 3 run, and one
-shift along the identity. For d >= 3 a sweep can miss a narrow violation;
-together with the monotone LP relaxation value the optimum brackets the
-true optimum, and the width of that final bracket alone decides whether
-the solve converged.
+witnesses, whose jumps are polished by alternating descent; a clean sweep
+also checks the jumps of the live cuts' witnesses. The rounds end at the
+first clean sweep or at the round cap. The final restoration is one shift
+along the identity by the last sweep's minimum, which after a capped
+d >= 3 run takes in the live cuts' witnesses too. For d >= 3 a sweep can
+miss a narrow violation; together with the monotone LP relaxation value
+the optimum brackets the true optimum, and the width of that final bracket
+alone decides whether the solve converged.
 """
 
 from __future__ import annotations
@@ -278,8 +278,8 @@ def _spread_select(points: np.ndarray, candidate_idx: np.ndarray, count: int,
     up to 10 at 0.01. The scan's choice among the first candidates depends
     on them alone, so it runs on the closeness matrix of a prefix of
     4 * count candidates, and again on one twice as long while it runs past
-    the end with picks to spare: a pool sweep's 400-odd candidates would
-    make a full matrix cost more time and memory than the scan saves.
+    the end with picks to spare: 400-odd pooled candidates would make a
+    full matrix cost more time and memory than the scan saves.
     """
     cand = points[candidate_idx]
     k = cand.shape[0]
@@ -584,20 +584,19 @@ class _Engine:
             lam = val
         return r_best, f_best, bound
 
-    def separate(self, b, s, feas_tol: float, pool: np.ndarray | None = None,
-                 tol: float = 1e-14) -> _Separation:
+    def separate(self, b, s, feas_tol: float, pool: np.ndarray | None = None) -> _Separation:
         """Search the witness sphere for the most negative residual eigenvalue.
 
         d = 2: the exact Bloch-sphere minimum (a certified lower bound) and
         its minimizer, with the jumps of a fixed cover as further cut
         candidates. d >= 3: the jumps of the Sym^2 witnesses and xi = 0, each
-        polished by descent until a step gains less than ``tol``; a ``pool``
-        of witnesses adds its jumps, the 24 lowest polished, so the pool sweep
-        finds all the plain one does. The points below ``-feas_tol`` are the
-        cut candidates; from the most violated down, ``_spread_select`` keeps
-        up to 40 of them at least 0.2 relative distance apart at d = 2, where
-        every cover jump is scored and spread cuts take a third of the rounds
-        that bunched ones do, and up to 10 at 0.01 for d >= 3.
+        polished by descent until a step gains less than 1e-3 * feas_tol, and
+        if none is below ``-feas_tol`` the jumps of the ``pool`` witnesses as
+        they stand. The points below ``-feas_tol`` are the cut candidates;
+        from the most violated down, ``_spread_select`` keeps up to 40 of them
+        at least 0.2 relative distance apart at d = 2, where every cover jump
+        is scored and spread cuts take a third of the rounds that bunched ones
+        do, and up to 10 at 0.01 for d >= 3.
         """
         if self.d == 2:
             ys = self._jumps(b, *self.cover_coeffs)
@@ -608,14 +607,13 @@ class _Engine:
             count, rel_dist = QUBIT_CUTS
         else:
             ys = np.vstack([self._witness_jumps(b, self._sym2_witnesses(b, s)), np.zeros((1, self.m))])
-            nsym = ys.shape[0]
-            if pool is not None:
-                ys = np.vstack([ys, self._witness_jumps(b, pool)])
-            vals = self.lam_min(b, s, ys)
-            start = np.concatenate([np.arange(nsym), nsym + np.argsort(vals[nsym:])[:24]])
-            pts, pvals = self._descend(b, s, ys[start], tol)
+            pts, pvals = self._descend(b, s, ys, 1e-3 * feas_tol)
             all_pts = np.vstack([ys, pts])
-            all_vals = np.concatenate([vals, pvals])
+            all_vals = np.concatenate([self.lam_min(b, s, ys), pvals])
+            if pool is not None and all_vals.min() >= -feas_tol:
+                ys = self._witness_jumps(b, pool)
+                all_pts = np.vstack([all_pts, ys])
+                all_vals = np.concatenate([all_vals, self.lam_min(b, s, ys)])
             min_value = float(np.min(all_vals))
             count, rel_dist = SWEEP_CUTS
 
@@ -643,11 +641,9 @@ class _Engine:
                 raise NumericError(f"cutting-plane relaxation came back {lp.status}")
             b, s = self.unpack(lp.x)
             tick = time.perf_counter()
-            # the plain sweep only supplies cuts, so its descent stops early
-            sep = self.separate(b, s, feas_tol, tol=1e-3 * feas_tol)
-            if self.d > 2 and sep.min_value >= -feas_tol:
-                # a clean sweep ends the rounds only if the pool sweep is clean too
-                sep = self.separate(b, s, feas_tol, cuts.v)
+            # at d >= 3 a clean sweep ends the rounds only if the live cuts'
+            # witnesses are clean too
+            sep = self.separate(b, s, feas_tol, cuts.v)
             sep_s = time.perf_counter() - tick
             # every cut is one LP row
             rec = DualRound(lp.value, sep.min_value, lp.value + min(0.0, sep.min_value) * self.d,
@@ -668,15 +664,16 @@ class _Engine:
             qi, ii = np.nonzero(take)
             cuts = cuts.extend(self.new_cuts(sep.violated[qi], vecs[qi, :, ii]))
 
-        # feasibility restoration: one sweep and one shift of S along the
-        # identity, which moves every residual eigenvalue alike; the last
-        # round's sweep was taken at this point and serves, unless a capped
-        # d >= 3 run ended on it (the exact d = 2 sweep does not read the cuts)
-        if self.d > 2 and sep.min_value < -feas_tol:
-            sep = self.separate(b, s, feas_tol, cuts.v)
-        shift = sep.min_value - RESTORE_TOL if sep.min_value < -RESTORE_TOL else 0.0
+        # feasibility restoration: one shift of S along the identity, which
+        # moves every residual eigenvalue alike, by the last sweep's minimum;
+        # a capped d >= 3 run ended on a violated sweep, which skipped the
+        # cuts' witnesses (the exact d = 2 sweep does not read them)
+        sep_min = sep.min_value
+        if self.d > 2 and sep_min < -feas_tol:
+            sep_min = min(sep_min, float(np.min(self.lam_min(b, s, self._witness_jumps(b, cuts.v)))))
+        shift = sep_min - RESTORE_TOL if sep_min < -RESTORE_TOL else 0.0
         s = s + shift * np.eye(self.d)
-        feasibility = sep.min_value - shift
+        feasibility = sep_min - shift
         optimum = float(self.cvec[: self.nB] @ b.ravel()) + float(np.trace(s).real)
         lp_value = trace[-1].lp_value
         converged = lp_value - optimum <= config.obj_tol + self.d * feas_tol
@@ -689,8 +686,8 @@ def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -
     """Cutting-plane solution of the dual program for a PD weight matrix.
 
     The returned ``optimum`` is the objective of the final dual point after
-    feasibility restoration (one sweep, and one shift along the identity
-    that lifts a minimum below -1e-12 to 1e-12; ``feasibility`` is the
+    feasibility restoration (one shift along the identity that lifts the
+    last sweep's minimum, if below -1e-12, to 1e-12; ``feasibility`` is the
     minimum after it), a lower bound on the deviation of every locally
     unbiased measurement: certified on qubits, where the sweep is exact and
     ``certified`` is True, and for d >= 3 as far as the sweep finds every
@@ -699,8 +696,8 @@ def solve_dual(model: StatisticalModel, g, config: SolverConfig | None = None) -
     is below ``-qcr.simplex.PIVOT_TOL`` (1e-9), so ``lp_value`` may fall
     short of the exact optimum by up to ``PIVOT_TOL`` times it.
 
-    The rounds stop in one of two ways: when a sweep, and at d >= 3 the
-    pool sweep that adds the witnesses of the live cuts, finds no violation
+    The rounds stop in one of two ways: when a sweep, at d >= 3 with the
+    jumps of the live cuts' witnesses checked as well, finds no violation
     beyond ``feas_tol`` (clamped at the simplex's pivot tolerance, see
     :class:`SolverConfig`), or when the round cap is reached. Whichever
     ends them, ``status`` is ``"converged"`` if and only if

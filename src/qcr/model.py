@@ -89,9 +89,10 @@ def build_model(rho, tangent_ops) -> StatisticalModel:
         h = require_hermitian(op, name=f"tangent[{i}]")
         if h.shape[0] != rho.dim:
             raise ValidationError(f"tangent[{i}]: dimension {h.shape[0]} != rho dimension {rho.dim}")
-        tr = complex(np.trace(h))
+        # h is Hermitian, so its trace is real
+        tr = float(np.trace(h).real)
         if abs(tr) > TANGENT_TRACE_TOL:
-            raise ValidationError(f"tangent[{i}]: trace {tr!r} exceeds {TANGENT_TRACE_TOL:.1e}")
+            raise ValidationError(f"tangent[{i}]: trace {tr!r} exceeds {TANGENT_TRACE_TOL:.1e} in magnitude")
         tangents.append(_readonly(h))
 
     # independence of the directions: smallest singular value of the stacked
@@ -164,8 +165,9 @@ def builtin_model(name: str, *, alpha: float | None = None, probs=None) -> Stati
         if alpha is None:
             raise ValidationError(f"{name}: parameter alpha is required")
         alpha = float(alpha)
-        if not abs(alpha) < 1.0 - 2.0 * POSITIVITY_FLOOR:
-            raise ValidationError(f"{name}: alpha = {alpha!r} outside (-1, 1)")
+        bound = 1.0 - 2.0 * POSITIVITY_FLOOR
+        if not abs(alpha) < bound:
+            raise ValidationError(f"{name}: alpha = {alpha!r} outside (-{bound!r}, {bound!r})")
         rho = DensityOperator((np.eye(2, dtype=complex) + alpha * PAULI_3) / 2.0)
         tangents = [PAULI_1 / 2.0, PAULI_2 / 2.0, PAULI_3 / 2.0]
         if name == "qubit-equatorial":
@@ -179,8 +181,9 @@ def builtin_model(name: str, *, alpha: float | None = None, probs=None) -> Stati
             raise ValidationError(f"qutrit-diagonal: expected 3 probabilities, got {p.shape}")
         if np.any(p <= POSITIVITY_FLOOR):
             raise ValidationError("qutrit-diagonal: probabilities must exceed the positivity floor")
-        if abs(p.sum() - 1.0) > 1e-12:
-            raise ValidationError(f"qutrit-diagonal: probabilities sum to {p.sum()!r}, not 1")
+        total = float(p.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise ValidationError(f"qutrit-diagonal: probabilities sum to {total!r}, not 1 within 1e-12")
         rho = DensityOperator(np.diag(p).astype(complex))
         tangents = [
             np.diag([1.0, 0.0, -1.0]).astype(complex),

@@ -300,6 +300,9 @@ MALFORMED_NUMBERS = [
     ("model-dim-null", ["info"], "model", _model_doc(dim=None)),
     ("model-dim-fraction", ["info"], "model", _model_doc(dim=2.5)),
     ("model-dim-inf", ["info"], "model", _model_doc(dim=float("inf"))),
+    ("model-dim-bool", ["info"], "model", _model_doc(dim=True)),
+    ("model-dim-string", ["info"], "model", _model_doc(dim="2")),
+    ("model-dim-zero", ["info"], "model", _model_doc(dim=0)),
     ("model-entry", ["info"], "model",
      _model_doc(rho={"re": [[0.8, "x"], [0.0, 0.2]], "im": [[0.0, 0.0], [0.0, 0.0]]})),
     ("model-rho-inf", ["info"], "model",
@@ -346,6 +349,32 @@ def test_malformed_numbers_exit_2(capsys, tmp_path, argv, file_kind, doc):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert out == ""
+
+
+# each message names the number it rejects, as a plain float, and the bound it checks
+ERROR_MESSAGES = [
+    (["info", "--model", "qutrit-diagonal", "--probs", "0.5,0.25,0.3"], None,
+     "qutrit-diagonal: probabilities sum to 1.05, not 1 within 1e-12"),
+    (["info", "--model", "qubit-full", "--alpha", "0.99999999999"], None,
+     "qubit-full: alpha = 0.99999999999 outside (-0.9999999998, 0.9999999998)"),
+    (["info"], _model_doc(tangent=[{"re": [[0.25, 0.5], [0.5, 0.0]], "im": [[0.0, 0.0], [0.0, 0.0]]}]),
+     "tangent[0]: trace 0.25 exceeds 1.0e-10 in magnitude"),
+    (["info"], _model_doc(dim=True), "model file: 'dim' must be a positive integer, got True"),
+    (["info"], _model_doc(dim="2"), "model file: 'dim' must be a positive integer, got '2'"),
+    (["info"], _model_doc(dim=-1), "model file: 'dim' must be a positive integer, got -1"),
+]
+
+
+@pytest.mark.parametrize("argv, doc, message", ERROR_MESSAGES,
+                         ids=["probs-sum", "alpha-bound", "tangent-trace", "dim-bool", "dim-string", "dim-negative"])
+def test_error_messages_state_the_checked_number_and_bound(capsys, tmp_path, argv, doc, message):
+    argv = list(argv)
+    if doc is not None:
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        argv += ["--model-file", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 # (extra arguments, seeded report, results keys, text labels) per command
