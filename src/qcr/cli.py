@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -110,12 +109,14 @@ def load_weight_file(path: str, n: int) -> np.ndarray:
 
 
 def _resolve_model(args) -> StatisticalModel:
+    # argparse requires exactly one of --model and --model-file; a built-in
+    # model takes one of --alpha and --probs, a model file neither
+    takes = {"qutrit-diagonal": "--probs"}.get(args.model, "--alpha" if args.model else None)
+    for option, value in (("--alpha", args.alpha), ("--probs", args.probs)):
+        if value is not None and option != takes:
+            raise ValidationError(f"{option} does not apply to {args.model or 'a model file'}")
     if args.model_file:
-        if args.model:
-            raise ValidationError("give either --model or --model-file, not both")
         return load_model_file(args.model_file)
-    if not args.model:
-        raise ValidationError("a model is required: --model NAME or --model-file PATH")
     if args.model == "qutrit-diagonal":
         if not args.probs:
             raise ValidationError("qutrit-diagonal needs --probs P1,P2,P3")
@@ -130,7 +131,7 @@ def _resolve_model(args) -> StatisticalModel:
 
 
 def _resolve_weight(args, model: StatisticalModel) -> np.ndarray:
-    if getattr(args, "g_file", None):
+    if args.g_file:
         return load_weight_file(args.g_file, model.n)
     return np.eye(model.n)
 
@@ -168,8 +169,6 @@ def run_command(args) -> int:
     start = time.perf_counter()
     if args.seed is not None and args.seed < 0:
         raise ValidationError(f"--seed must be nonnegative, got {args.seed}")
-    if args.tol is not None and not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValidationError(f"--tol must be finite and positive, got {args.tol}")
     model = _resolve_model(args)
     out = globals()["cmd_" + args.command.replace("-", "_")](args, model)
     report = {"command": args.command, "model": _model_summary(model)}
@@ -355,30 +354,29 @@ def cmd_simulate(args, model: StatisticalModel) -> Outcome:
 def build_parser() -> argparse.ArgumentParser:
     """A new parser for the ``qcr`` command line; ``main`` builds one per process and reuses it."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--model", choices=["qubit-full", "qubit-equatorial", "qutrit-diagonal"])
-    common.add_argument("--alpha", type=float)
+    source = common.add_mutually_exclusive_group(required=True)
+    source.add_argument("--model", choices=["qubit-full", "qubit-equatorial", "qutrit-diagonal"])
+    source.add_argument("--model-file")
+    common.add_argument("--alpha", type=float, help="for qubit-full and qubit-equatorial")
     common.add_argument("--probs", help="comma-separated probabilities for qutrit-diagonal")
-    common.add_argument("--model-file")
-    common.add_argument("--g-file")
     common.add_argument("--json", action="store_true")
-    common.add_argument("--csv")
-    common.add_argument("--tol", type=float)
     common.add_argument("--seed", type=int)
-    common.add_argument("--samples", type=int)
 
     parser = argparse.ArgumentParser(
         prog="qcr",
         description="Attainable covariance bounds for finite-dimensional quantum models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("info", parents=[common])
-    sub.add_parser("bound", parents=[common])
-    dual = sub.add_parser("dual", parents=[common])
-    dual.add_argument("--certify", action="store_true")
-    dual.add_argument("--max-rounds", type=int)
-    sub.add_parser("check-random", parents=[common])
-    sub.add_parser("limitset", parents=[common])
-    sub.add_parser("simulate", parents=[common])
+    commands = {name: sub.add_parser(name, parents=[common])
+                for name in ("info", "bound", "dual", "check-random", "limitset", "simulate")}
+    for name in ("bound", "dual", "simulate"):
+        commands[name].add_argument("--g-file")
+    for name in ("limitset", "simulate"):
+        commands[name].add_argument("--samples", type=int)
+    commands["limitset"].add_argument("--csv")
+    commands["dual"].add_argument("--tol", type=float)
+    commands["dual"].add_argument("--certify", action="store_true")
+    commands["dual"].add_argument("--max-rounds", type=int)
     return parser
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .measurement import optimal_weight_operator, require_int, require_weight_matrix
+from .measurement import optimal_weight_operator, plain, require_int, require_weight_matrix
 from .model import PAULI_1, PAULI_2, PAULI_3, StatisticalModel, _as_coords, build_model
 from .operators import require_hermitian
 from .randomness import is_random_model
@@ -114,7 +114,7 @@ class SolverConfig:
     def __post_init__(self):
         for t in (self.feas_tol, self.obj_tol):
             if not (isinstance(t, numbers.Real) and math.isfinite(t) and t > 0):
-                raise ValidationError(f"solver tolerances must be finite and positive, got {t!r}")
+                raise ValidationError(f"solver tolerances must be finite and positive, got {plain(t)!r}")
         require_int(self.max_rounds, "max_rounds", 1)
         require_int(self.seed, "seed")
 
@@ -275,29 +275,20 @@ def _spread_select(points: np.ndarray, candidate_idx: np.ndarray, count: int,
     Candidates are taken in order; one is skipped when it lies within
     rel_dist * (|y| + |y'| + 1e-6) of an already chosen y'. The qubit oracle
     asks for up to 40 of its 129 candidates 0.2 apart, the d >= 3 sweeps for
-    up to 10 at 0.01. The scan's choice among the first candidates depends
-    on them alone, so it runs on the closeness matrix of a prefix of
-    4 * count candidates, and again on one twice as long while it runs past
-    the end with picks to spare: 400-odd pooled candidates would make a
-    full matrix cost more time and memory than the scan saves.
+    up to 10 at 0.01; one closeness matrix over all candidates serves the scan.
     """
     cand = points[candidate_idx]
     k = cand.shape[0]
-    norms = np.sqrt((cand * cand).sum(axis=1))
-    size = min(k, 4 * count)
-    while True:
-        far = _far_pairs(cand[:size], norms[:size], rel_dist)
-        free = np.ones(size + 1, dtype=bool)
-        chosen = []
-        j = 0
-        while j < size and len(chosen) < count:
-            chosen.append(j)
-            # every candidate is close to itself, so this clears j as well
-            free &= far[j]
-            j = int(free.argmax())
-        if len(chosen) == count or size == k:
-            return cand[chosen]
-        size = min(k, 2 * size)
+    far = _far_pairs(cand, np.sqrt((cand * cand).sum(axis=1)), rel_dist)
+    free = np.ones(k + 1, dtype=bool)
+    chosen = []
+    j = 0
+    while j < k and len(chosen) < count:
+        chosen.append(j)
+        # every candidate is close to itself, so this clears j as well
+        free &= far[j]
+        j = int(free.argmax())
+    return cand[chosen]
 
 
 def _far_pairs(cand: np.ndarray, norms: np.ndarray, rel_dist: float) -> np.ndarray:

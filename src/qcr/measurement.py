@@ -286,10 +286,15 @@ def shift_measurement(p: RandomMeasurement, x) -> RandomMeasurement:
     return RandomMeasurement(tuple(atoms))
 
 
+def plain(value):
+    """``value`` with a NumPy scalar made a Python one, so a message reads -1.0, not np.float64(-1.0)."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def require_int(value, name: str, minimum: int = 0) -> int:
     """``value`` as an int; a bool, a non-integer or a value below ``minimum`` is an input error."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {plain(value)!r}")
     return int(value)
 
 

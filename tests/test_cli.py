@@ -1,3 +1,4 @@
+import argparse
 import json
 import logging
 import os
@@ -318,11 +319,9 @@ MALFORMED_NUMBERS = [
      None, None),
     ("tol-inf", ["dual", "--model", "qubit-full", "--alpha", "0.6", "--tol", "inf", "--seed", "0"],
      None, None),
-    # every command checks --tol, not only the one that reads it
-    *[(f"tol-{name}-{command}", [command, "--model", "qubit-full", "--alpha", "0.6", "--tol", tol,
-                                 *(["--samples", "10", "--seed", "1"] if command == "simulate" else [])],
-       None, None)
-      for command in ("info", "bound", "simulate") for name, tol in (("negative", "-1"), ("zero", "0"))],
+    # SolverConfig refuses these: only dual reads --tol
+    ("tol-negative-dual", ["dual", "--model", "qubit-full", "--alpha", "0.6", "--tol", "-1"], None, None),
+    ("tol-zero-dual", ["dual", "--model", "qubit-full", "--alpha", "0.6", "--tol", "0"], None, None),
     ("seed-negative-dual", ["dual", "--model", "qubit-full", "--alpha", "0.6", "--seed", "-1"],
      None, None),
     ("seed-negative-simulate", ["simulate", "--model", "qubit-full", "--alpha", "0.6",
@@ -362,11 +361,19 @@ ERROR_MESSAGES = [
     (["info"], _model_doc(dim=True), "model file: 'dim' must be a positive integer, got True"),
     (["info"], _model_doc(dim="2"), "model file: 'dim' must be a positive integer, got '2'"),
     (["info"], _model_doc(dim=-1), "model file: 'dim' must be a positive integer, got -1"),
+    # a model option the chosen model does not take is refused, not ignored
+    (["info", "--model", "qutrit-diagonal", "--probs", "0.5,0.25,0.25", "--alpha", "0.6"], None,
+     "--alpha does not apply to qutrit-diagonal"),
+    (["info", "--alpha", "0.6"], _model_doc(), "--alpha does not apply to a model file"),
+    (["info", "--model", "qubit-equatorial", "--alpha", "0.6", "--probs", "0.5,0.25,0.25"], None,
+     "--probs does not apply to qubit-equatorial"),
+    (["info", "--probs", "0.5,0.25,0.25"], _model_doc(), "--probs does not apply to a model file"),
 ]
 
 
 @pytest.mark.parametrize("argv, doc, message", ERROR_MESSAGES,
-                         ids=["probs-sum", "alpha-bound", "tangent-trace", "dim-bool", "dim-string", "dim-negative"])
+                         ids=["probs-sum", "alpha-bound", "tangent-trace", "dim-bool", "dim-string", "dim-negative",
+                              "alpha-qutrit", "alpha-model-file", "probs-qubit", "probs-model-file"])
 def test_error_messages_state_the_checked_number_and_bound(capsys, tmp_path, argv, doc, message):
     argv = list(argv)
     if doc is not None:
@@ -375,6 +382,103 @@ def test_error_messages_state_the_checked_number_and_bound(capsys, tmp_path, arg
         argv += ["--model-file", str(path)]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+_QUBIT = ["--model", "qubit-full", "--alpha", "0.6"]
+
+# (argv, file contents, part of the message); FILE in argv names a file holding
+# the contents, or a missing file when they are None
+MALFORMED_INPUTS = {
+    "model-block-not-re-im": (["info", "--model-file", "FILE"],
+                              _model_doc(rho=[[0.8, 0.0], [0.0, 0.2]]),
+                              "rho: expected an object with 're' and 'im' matrices"),
+    "model-block-shape": (["info", "--model-file", "FILE"],
+                          _model_doc(tangent=[{"re": [[0.0, 0.5, 0.0]], "im": [[0.0, 0.0, 0.0]]}]),
+                          "tangent[0]: expected 2x2 're' and 'im' blocks"),
+    "model-no-dim": (["info", "--model-file", "FILE"],
+                     {k: v for k, v in _model_doc().items() if k != "dim"},
+                     "model file: expected an object with 'dim', 'rho' and 'tangent'"),
+    "model-empty-tangent": (["info", "--model-file", "FILE"], _model_doc(tangent=[]),
+                            "model file: 'tangent' must be a nonempty list"),
+    "model-file-unreadable": (["info", "--model-file", "FILE"], None, "cannot read model file"),
+    "model-file-not-json": (["info", "--model-file", "FILE"], "{'dim': 2}", "is not valid JSON"),
+    "weight-no-g": (["bound", *_QUBIT, "--g-file", "FILE"], {"G": np.eye(3).tolist()},
+                    "weight file: expected an object with a 'g' matrix"),
+    "qutrit-no-probs": (["info", "--model", "qutrit-diagonal"], None,
+                        "qutrit-diagonal needs --probs P1,P2,P3"),
+    "qubit-no-alpha": (["info", "--model", "qubit-full"], None, "qubit-full needs --alpha"),
+    "limitset-no-samples": (["limitset", *_QUBIT, "--seed", "1"], None, "limitset needs --samples >= 1"),
+    "limitset-samples-0": (["limitset", *_QUBIT, "--seed", "1", "--samples", "0"], None,
+                           "limitset needs --samples >= 1"),
+    "simulate-no-samples": (["simulate", *_QUBIT, "--seed", "1"], None, "simulate needs --samples >= 1"),
+    "simulate-samples-0": (["simulate", *_QUBIT, "--seed", "1", "--samples", "0"], None,
+                           "simulate needs --samples >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_inputs_exit_2(capsys, tmp_path, case):
+    argv, contents, message = MALFORMED_INPUTS[case]
+    path = tmp_path / "input.json"
+    if contents is not None:
+        path.write_text(contents if isinstance(contents, str) else json.dumps(contents))
+    code, out, err = run(capsys, *[str(path) if a == "FILE" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
+def test_dual_certify_on_a_model_that_is_not_random(capsys):
+    code, out, _ = run(capsys, "dual", "--model", "qutrit-diagonal", "--probs", "0.5,0.25,0.25",
+                       "--certify", "--json")
+    assert code == 0
+    certificate = json.loads(out)["results"]["certificate"]
+    assert certificate["applicable"] is False
+    assert certificate["witness_score"] > 0
+
+
+# -- each command's options ----------------------------------------------------------
+
+SHARED_OPTIONS = {"--model", "--model-file", "--alpha", "--probs", "--json", "--seed"}
+# the options each command reads besides the shared ones
+COMMAND_OPTIONS = {
+    "info": set(),
+    "bound": {"--g-file"},
+    "dual": {"--g-file", "--tol", "--certify", "--max-rounds"},
+    "check-random": set(),
+    "limitset": {"--samples", "--csv"},
+    "simulate": {"--g-file", "--samples"},
+}
+
+
+def test_each_command_takes_only_the_options_it_reads():
+    parser = qcr.cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(commands.choices) == set(COMMAND_OPTIONS)
+    for name, sub in commands.choices.items():
+        options = {o for a in sub._actions for o in a.option_strings} - {"-h", "--help"}
+        assert options == SHARED_OPTIONS | COMMAND_OPTIONS[name], name
+
+
+# a value for each option some command does not read; --tol also with the
+# values a command that reads it refuses
+UNREAD_VALUES = {"--g-file": [("", "g.json")], "--samples": [("", "10")], "--csv": [("", "x.csv")],
+                 "--tol": [("", "1e-5"), ("negative-", "-1"), ("zero-", "0")]}
+UNREAD_OPTIONS = [
+    pytest.param(command, option, value, id=f"{option[2:]}-{label}{command}")
+    for command, own in COMMAND_OPTIONS.items()
+    for option, values in UNREAD_VALUES.items() if option not in own
+    for label, value in values
+]
+
+
+@pytest.mark.parametrize("command, option, value", UNREAD_OPTIONS)
+def test_options_a_command_does_not_read_exit_2(capsys, command, option, value):
+    sampled = ["--samples", "10"] if command in ("limitset", "simulate") else []
+    code, out, err = run(capsys, command, *_QUBIT, "--seed", "1", *sampled, option, value)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {option} {value}" in err
+    assert "Traceback" not in err
 
 
 # (extra arguments, seeded report, results keys, text labels) per command

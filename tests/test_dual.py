@@ -1115,3 +1115,8 @@ def test_config_validation():
             SolverConfig(obj_tol=bad)
     with pytest.raises(ValidationError):
         SolverConfig(seed=-1)
+    # NumPy scalars are named as plain numbers
+    with pytest.raises(ValidationError, match=r"positive, got -1\.0$"):
+        SolverConfig(feas_tol=np.float64(-1.0))
+    with pytest.raises(ValidationError, match=r"^max_rounds must be an integer >= 1, got 0$"):
+        SolverConfig(max_rounds=np.int64(0))

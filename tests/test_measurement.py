@@ -18,6 +18,7 @@ from qcr.measurement import (
     optimal_random_measurement,
     optimal_weight_operator,
     random_certificate_gap,
+    require_int,
     require_weight_matrix,
     sample_frontier,
     sample_locally_unbiased,
@@ -112,6 +113,14 @@ def test_reciprocal_scaling_keeps_verdict():
         Atom(a.weight, 2.0 * a.direction, 0.5 * a.observable) for a in p.atoms
     ))
     assert is_locally_unbiased(m, scaled)
+
+
+def test_require_int_names_numpy_values_as_plain_numbers():
+    assert require_int(np.int64(3), "seed") == 3
+    for value, shown in ((np.int64(-3), "-3"), (np.float64(2.5), "2.5"), (np.True_, "True")):
+        with pytest.raises(ValidationError) as err:
+            require_int(value, "seed")
+        assert str(err.value) == f"seed must be an integer >= 0, got {shown}"
 
 
 def test_measurement_validation():

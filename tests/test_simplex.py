@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+import qcr.cli
 import qcr.dual
 import qcr.simplex
 from qcr.errors import NumericError, ValidationError
@@ -518,3 +519,62 @@ def test_bland_ratio_ties_leave_by_the_smaller_basis_label(gap, leaving):
     assert qcr.simplex._iterate(cols, binv, xb, rc, basis, qcr.simplex.PIVOT_TOL, 100,
                                 bland=True) == (1, True)
     assert basis[leaving] == 0
+
+
+# -- the feasibility check's Bland restart ------------------------------------------------
+
+
+def _corrupting_iterate(monkeypatch, times):
+    """Patch ``_iterate`` to zero the bound columns' reduced costs on its first ``times`` calls.
+
+    The primal point is read from those reduced costs, so a corrupted solve
+    returns x = ub. Each call is recorded as (Bland's rule, starting basis).
+    """
+    real = qcr.simplex._iterate
+    calls = []
+
+    def iterate(cols, binv, xb, rc, basis, tol, max_iter, bland=False):
+        calls.append((bland, basis.copy()))
+        out = real(cols, binv, xb, rc, basis, tol, max_iter, bland)
+        if len(calls) <= times:
+            nv = cols.shape[1]
+            m = cols.shape[0] - 2 * nv
+            rc[m: m + nv] = 0.0
+        return out
+
+    monkeypatch.setattr(qcr.simplex, "_iterate", iterate)
+    return calls
+
+
+# max x1 + 2 x2 + 3 x3 st x1 + x2 + x3 <= 2, x2 + x3 <= 1.5, 0 <= x <= 1: the
+# upper corner of the box breaks both rows
+RECOVERY_LP = ([1.0, 2.0, 3.0], [[1.0, 1.0, 1.0], [0.0, 1.0, 1.0]], [2.0, 1.5], np.zeros(3), np.ones(3))
+
+
+def test_an_infeasible_result_restarts_from_the_box_under_bland(monkeypatch):
+    c, a, b, lb, ub = RECOVERY_LP
+    ref = scipy_linprog(-np.asarray(c), A_ub=a, b_ub=b, bounds=list(zip(lb, ub)), method="highs")
+    cold = solve_boxed_lp(c, a, b, lb, ub, maximize=True)
+    calls = _corrupting_iterate(monkeypatch, times=1)
+    res = solve_boxed_lp(c, a, b, lb, ub, maximize=True, start=cold.basis)
+    # the warm run's point failed the check; the box restart under Bland's rule stands
+    assert [bland for bland, _ in calls] == [False, True]
+    # a start's bound codes -1 - k name dual column m + k (m = 2 rows here)
+    assert list(calls[0][1]) == list(np.where(cold.basis >= 0, cold.basis, 1 - cold.basis))
+    assert list(calls[1][1]) == [2, 3, 4]  # p_j for every j: the box vertex maximizing c
+    assert res.status == "optimal" and not res.warm
+    assert res.value == pytest.approx(-ref.fun, abs=1e-9)
+    assert np.max(np.asarray(a) @ res.x - b) <= 1e-9
+
+
+def test_a_repeated_infeasible_result_raises_and_the_cli_exits_3(monkeypatch, capsys):
+    c, a, b, lb, ub = RECOVERY_LP
+    calls = _corrupting_iterate(monkeypatch, times=10**9)
+    with pytest.raises(NumericError, match="feasibility check"):
+        solve_boxed_lp(c, a, b, lb, ub, maximize=True)
+    assert [bland for bland, _ in calls] == [False, True]
+    code = qcr.cli.main(["dual", "--model", "qubit-full", "--alpha", "0.6"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: simplex: result failed the feasibility check\n"
