@@ -25,7 +25,6 @@ from .measurement import (
     RandomMeasurement,
     covariance,
     deviation,
-    frontier_witness_2d,
     frontier_witnesses_2d,
     is_locally_unbiased,
     mix_measurements,
@@ -37,7 +36,6 @@ from .measurement import (
     require_weight_matrix,
     sample_frontier,
     sample_locally_unbiased,
-    shift_measurement,
     simulate,
 )
 from .model import (

@@ -62,6 +62,7 @@ SWEEP_CUTS = (10, 0.01)
 RESTORE_TOL = 1e-12
 DESCENT_STEPS = 40
 QUBIT_COVER = 128
+SUBMODEL_TOL = 1e-3  # dual_submodel_inequality holds within this slack
 EPS = float(np.finfo(float).eps)
 PAULIS = np.stack([PAULI_1, PAULI_2, PAULI_3])
 
@@ -755,8 +756,7 @@ class SubmodelResult:
 
 
 def dual_submodel_inequality(model: StatisticalModel, subspace_indices, g_sub,
-                             config: SolverConfig | None = None,
-                             tol: float = 1e-3) -> SubmodelResult:
+                             config: SolverConfig | None = None) -> SubmodelResult:
     """Compare the dual optimum of a submodel against the full model.
 
     The weight on the full model is the pullback of ``g_sub`` along the
@@ -785,5 +785,5 @@ def dual_submodel_inequality(model: StatisticalModel, subspace_indices, g_sub,
     engine = _Engine(model, g_sub, proj.T)
     raw = engine.solve(cfg)
     full_dual = DualPoint(raw.dual.a @ proj, raw.dual.s)
-    holds = res_sub.optimum <= raw.optimum + tol
+    holds = res_sub.optimum <= raw.optimum + SUBMODEL_TOL
     return SubmodelResult(res_sub.optimum, raw.optimum, holds, res_sub, full_dual, raw.status)

@@ -8,7 +8,6 @@ unit cotangent, so no sphere sampling is needed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,26 +17,16 @@ from .model import StatisticalModel, cotangent_operator, tangent_norm
 from .operators import _readonly
 
 RANDOMNESS_TOL = 1e-8
+QUBIT_IDENTITY_TOL = 1e-10  # largest residual norm qubit_constant_check accepts
 
 
 def orthonormal_cotangent_basis(model: StatisticalModel) -> np.ndarray:
     """Gram-Schmidt on the coordinate basis under the Fisher Gram matrix.
 
-    Returns an n x n array whose rows are cotangent coordinates with
-    rows @ J @ rows.T = Id.
+    That is L^{-1} for the Cholesky factor J = L L^T: its rows are cotangent
+    coordinates with rows @ J @ rows.T = Id.
     """
-    j = model.fisher
-    basis = np.eye(model.n)
-    out = np.zeros_like(basis)
-    for i in range(model.n):
-        v = basis[i].copy()
-        for k in range(i):
-            v -= float(out[k] @ j @ v) * out[k]
-        norm = math.sqrt(float(v @ j @ v))
-        if norm <= 0.0:
-            raise ValidationError("Fisher matrix is not positive definite")
-        out[i] = v / norm
-    return out
+    return np.linalg.inv(np.linalg.cholesky(model.fisher))
 
 
 @dataclass(frozen=True)
@@ -110,7 +99,7 @@ def is_random_model(model: StatisticalModel, basis: np.ndarray | None = None) ->
     return RandomnessReport(False, None, witness, score)
 
 
-def qubit_constant_check(model: StatisticalModel, e, tol: float = 1e-10) -> bool:
+def qubit_constant_check(model: StatisticalModel, e) -> bool:
     """Qubit identity: for a unit tangent e, X rho X equals Id - rho.
 
     ``e`` are tangent coordinates with unit Fisher norm; the observable X
@@ -125,4 +114,4 @@ def qubit_constant_check(model: StatisticalModel, e, tol: float = 1e-10) -> bool
     x = cotangent_operator(model, coords)
     rho = model.rho.matrix
     residual = x @ rho @ x - (np.eye(2) - rho)
-    return float(np.linalg.norm(residual)) <= tol
+    return float(np.linalg.norm(residual)) <= QUBIT_IDENTITY_TOL

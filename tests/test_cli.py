@@ -46,6 +46,11 @@ def test_info_model_file(capsys, tmp_path):
     code, out, _ = run(capsys, "info", "--model-file", str(path))
     assert code == 0
     assert "dim = 2, n = 1" in out
+    # a whole-valued float dim is an integer
+    path.write_text(json.dumps(_model_doc(dim=2.0)))
+    code, out, _ = run(capsys, "info", "--model-file", str(path))
+    assert code == 0
+    assert "dim = 2, n = 1" in out
 
 
 def test_malformed_model_file_exits_2(capsys, tmp_path):
@@ -213,6 +218,13 @@ def test_limitset_csv_deterministic(capsys, tmp_path):
         cells = [float(x) for x in row.split(",")]
         assert cells[4] >= -1e-9
         assert cells[5] == pytest.approx(1.0, abs=1e-9)
+    # a text report without --seed samples with seed 0 and says so
+    for path, seed in ((a, []), (b, ["--seed", "0"])):
+        code, out, _ = run(capsys, "limitset", "--model", "qubit-equatorial", "--alpha", "0.6",
+                           "--samples", "25", *seed, "--csv", str(path))
+        assert code == 0
+        assert "sampled 25 frontier covariances (seed 0)" in out
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_limitset_unwritable_csv_exits_2(capsys, tmp_path):

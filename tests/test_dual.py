@@ -1051,6 +1051,22 @@ def test_non_finite_dual_points_and_cuts_are_rejected(bad):
         DualPoint(np.eye(3), [[-1.0, 1j * bad], [-1j * bad, -1.0]])
     with pytest.raises(ValidationError):
         residual(qubit(), np.eye(3), DualPoint(np.eye(3), -np.eye(2)), [0.0, bad, 0.0])
+    with pytest.raises(ValidationError, match="finite real matrix"):
+        DualPoint(np.diag([1.0, bad, 1.0]), -np.eye(2))
+
+
+@pytest.mark.parametrize("point", [
+    pytest.param(DualPoint(np.eye(2), -np.eye(2)), id="a-2x2"),
+    pytest.param(DualPoint(np.eye(3), -np.eye(3)), id="S-3x3"),
+])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m, p: residual(m, np.eye(3), p, [1.0, 0.0, 0.0]), id="residual"),
+    pytest.param(lambda m, p: spur(m, p), id="spur"),
+    pytest.param(lambda m, p: separation_oracle(m, np.eye(3), p), id="separation_oracle"),
+])
+def test_dual_points_sized_for_another_model_are_rejected(call, point):
+    with pytest.raises(ValidationError, match="dual point"):
+        call(qubit(), point)
 
 
 @pytest.mark.parametrize("call", [

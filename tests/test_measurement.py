@@ -9,7 +9,6 @@ from qcr.measurement import (
     RandomMeasurement,
     covariance,
     deviation,
-    frontier_witness_2d,
     frontier_witnesses_2d,
     is_locally_unbiased,
     mix_measurements,
@@ -22,10 +21,9 @@ from qcr.measurement import (
     require_weight_matrix,
     sample_frontier,
     sample_locally_unbiased,
-    shift_measurement,
     simulate,
 )
-from qcr.model import build_model, builtin_model, PAULI_1
+from qcr.model import build_model, builtin_model, cotangent_operator, PAULI_1
 from qcr.operators import DensityOperator
 
 
@@ -34,7 +32,7 @@ def qubit(alpha=0.6):
 
 
 def eq18_covariance(model, p):
-    # direct summation oracle for the covariance of a shift-free measurement
+    # direct summation oracle for the covariance
     v = np.zeros((model.n, model.n))
     for a in p.atoms:
         norm2 = float(a.observable @ model.fisher @ a.observable)
@@ -96,7 +94,9 @@ def test_optimal_measurement_is_locally_unbiased():
     rep = is_locally_unbiased(m, p)
     assert rep
     assert rep.jacobian_residual <= 1e-10
-    assert rep.mean_residual <= 1e-10
+    # no mean condition is checked: every observable has zero mean at rho
+    for a in p.atoms:
+        assert abs(np.trace(m.rho.matrix @ cotangent_operator(m, a.observable))) <= 1e-12
 
 
 def test_single_atom_cannot_cover_three_parameters():
@@ -130,6 +130,15 @@ def test_measurement_validation():
         Atom(0.0, np.ones(2), np.ones(2))
     with pytest.raises(ValidationError):
         RandomMeasurement((Atom(0.7, np.ones(2), np.ones(2)),))
+    with pytest.raises(ValidationError, match="must match"):
+        Atom(1.0, np.ones(2), np.ones(3))
+    with pytest.raises(ValidationError, match="finite"):
+        Atom(1.0, np.array([1.0, np.nan]), np.ones(2))
+    with pytest.raises(ValidationError, match="finite"):
+        Atom(1.0, np.ones(2), np.array([np.inf, 1.0]))
+    p = optimal_random_measurement(qubit(), np.eye(3))
+    with pytest.raises(ValidationError, match="sum to 1"):
+        mix_measurements([p, p], [0.5, 0.6])
 
 
 # -- covariance and deviation -------------------------------------------------
@@ -294,36 +303,24 @@ def test_certificate_gap_positive_for_suboptimal_measurement():
     assert rep.gap > 1e-6
 
 
-# -- outcome shifts ------------------------------------------------------------
-
-def test_shift_zero_is_noop_for_covariance():
+@pytest.mark.parametrize("a, s, match", [
+    (np.full((3, 3), np.nan), 0.0, "multiplier a"),
+    (np.diag([1.0, np.inf, 1.0]), 0.0, "multiplier a"),
+    (np.zeros((2, 2)), 0.0, "multiplier a"),
+    (np.zeros((3, 3)), float("nan"), "multiplier s"),
+    (np.zeros((3, 3)), -float("inf"), "multiplier s"),
+    (np.zeros((3, 3)), np.zeros(2), "multiplier s"),
+    (np.zeros((3, 3)), "x", "multiplier s"),
+    (np.zeros((3, 3)), None, "multiplier s"),
+    (np.zeros((3, 3)), True, "multiplier s"),
+    (np.zeros((3, 3)), 1j, "multiplier s"),
+], ids=["a-nan", "a-inf", "a-shape", "s-nan", "s-inf", "s-array", "s-str", "s-none", "s-bool",
+        "s-complex"])
+def test_certificate_gap_rejects_malformed_multipliers(a, s, match):
     m = qubit()
     p = optimal_random_measurement(m, np.eye(3))
-    shifted = shift_measurement(p, np.zeros(3))
-    assert np.allclose(covariance(m, shifted), covariance(m, p), atol=1e-12)
-
-
-def test_shift_adds_dyad():
-    m = qubit()
-    p = optimal_random_measurement(m, np.eye(3))
-    v0 = covariance(m, p)
-    e1 = np.array([1.0, 0.0, 0.0])
-    shifted = shift_measurement(p, e1)
-    assert is_locally_unbiased(m, shifted)
-    v1 = covariance(m, shifted)
-    assert v1[0, 0] == pytest.approx(v0[0, 0] + 1.0, abs=1e-10)
-    assert np.allclose(v1, v0 + np.outer(e1, e1), atol=1e-10)
-
-
-def test_double_shift_commutes():
-    m = qubit()
-    p = optimal_random_measurement(m, np.eye(3))
-    x = np.array([0.5, 0.0, -0.25])
-    y = np.array([0.0, 1.5, 0.75])
-    vxy = covariance(m, shift_measurement(shift_measurement(p, x), y))
-    vyx = covariance(m, shift_measurement(shift_measurement(p, y), x))
-    assert np.allclose(vxy, vyx, atol=1e-10)
-    assert np.allclose(vxy, covariance(m, p) + np.outer(x, x) + np.outer(y, y), atol=1e-10)
+    with pytest.raises(ValidationError, match=match):
+        random_certificate_gap(m, np.eye(3), p, a, s)
 
 
 # -- frontier ------------------------------------------------------------------
@@ -351,34 +348,29 @@ def test_optimal_covariance_trace_identity():
 
 def test_frontier_samples_dominate_inverse_fisher():
     m = builtin_model("qubit-equatorial", alpha=0.6)
-    for v in sample_frontier(m, 50, seed=77):
-        assert np.linalg.eigvalsh(v - m.fisher_inverse)[0] >= -1e-9
-        assert frontier_witness_2d(m, v)
+    samples = sample_frontier(m, 50, seed=77)
+    assert np.all(np.linalg.eigvalsh(samples - m.fisher_inverse)[:, 0] >= -1e-9)
+    assert np.all(np.abs(frontier_witnesses_2d(m, samples)[1] - 1.0) <= 1e-9)
 
 
 def test_frontier_witness_examples():
     m = builtin_model("qubit-equatorial", alpha=0.6)
-    j = m.fisher
-    w = 0.5 * np.eye(2)
-    v = np.linalg.inv(w) @ m.fisher_inverse
-    wit = frontier_witness_2d(m, v)
-    assert np.allclose(wit.x, np.eye(2), atol=1e-10)
-    assert wit.det == pytest.approx(1.0, abs=1e-12)
+    vs = np.stack([
+        np.linalg.inv(0.5 * np.eye(2)) @ m.fisher_inverse,
+        np.linalg.inv(np.diag([0.3, 0.7])) @ m.fisher_inverse,
+        3.0 * m.fisher_inverse,
+    ])
+    x, dets = frontier_witnesses_2d(m, vs)
+    assert np.allclose(x[0], np.eye(2), atol=1e-10)
     # symbolic identity at w = 0.3: X = diag(0.7/0.3, 0.3/0.7)
-    w = np.diag([0.3, 0.7])
-    v = np.linalg.inv(w) @ m.fisher_inverse
-    wit = frontier_witness_2d(m, v)
-    assert np.allclose(np.sort(np.diag(wit.x)), [0.3 / 0.7, 0.7 / 0.3], atol=1e-10)
-    assert wit.det == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(np.sort(np.diag(x[1])), [0.3 / 0.7, 0.7 / 0.3], atol=1e-10)
+    assert dets[:2] == pytest.approx([1.0, 1.0], abs=1e-12)
     # V = 3 J^-1 is not a frontier point: X = 2 Id, det 4
-    bad = frontier_witness_2d(m, 3.0 * m.fisher_inverse)
-    assert not bad
-    assert bad.det == pytest.approx(4.0, abs=1e-10)
+    assert np.allclose(x[2], 2.0 * np.eye(2), atol=1e-10)
+    assert dets[2] == pytest.approx(4.0, abs=1e-10)
 
 
 def test_frontier_witness_requires_two_parameters():
-    with pytest.raises(ValidationError):
-        frontier_witness_2d(qubit(), np.eye(2))
     with pytest.raises(ValidationError):
         frontier_witnesses_2d(qubit(), np.eye(2)[None])
     with pytest.raises(ValidationError):
@@ -412,8 +404,6 @@ def test_batched_frontier_witness_matches_per_sample_loop(make):
     ref_dets = np.array([float(np.linalg.det(xv)) for xv in ref_x])
     assert x.tobytes() == ref_x.tobytes()
     assert dets.tobytes() == ref_dets.tobytes()
-    one = np.array([frontier_witness_2d(m, v).det for v in samples])
-    assert one.tobytes() == ref_dets.tobytes()
 
 
 # -- sampling and simulation ----------------------------------------------------
@@ -467,11 +457,7 @@ def test_sampling_rejects_bad_seed(seed):
 
 
 @pytest.mark.parametrize("make", [
-    pytest.param(lambda m, rng: shift_measurement(optimal_random_measurement(m, np.eye(3)),
-                                                  [0.4, -0.3, 0.2]), id="optimal-shifted"),
     pytest.param(lambda m, rng: sample_locally_unbiased(m, rng, n_atoms=6), id="sampled-6-atoms"),
-    pytest.param(lambda m, rng: shift_measurement(sample_locally_unbiased(m, rng), [0.0, 0.5, 0.1]),
-                 id="sampled-shifted"),
 ])
 def test_simulate_shifted_and_many_atom_measurements(make):
     m = qubit()

@@ -151,3 +151,18 @@ def test_builtin_models():
         builtin_model("qutrit-diagonal", probs=(0.5, 0.5, 0.1))
     with pytest.raises(ValidationError):
         builtin_model("spin-chain")
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: build_model(np.eye(2) / 2, []), "at least one tangent"),
+    (lambda: build_model(np.eye(2) / 2, [np.diag([1.0, 0.0, -1.0])]), "dimension 3 != rho dimension 2"),
+    (lambda: builtin_model("qubit-full"), "alpha is required"),
+    (lambda: builtin_model("qubit-equatorial"), "alpha is required"),
+    (lambda: builtin_model("qutrit-diagonal"), "p1, p2, p3 are required"),
+    (lambda: builtin_model("qutrit-diagonal", probs=(0.5, 0.5)), "expected 3 probabilities"),
+    (lambda: builtin_model("qutrit-diagonal", probs=(1e-10, 0.5 - 1e-10, 0.5)), "positivity floor"),
+], ids=["no-tangents", "tangent-dim", "qubit-full-no-alpha", "qubit-equatorial-no-alpha",
+        "qutrit-no-probs", "qutrit-two-probs", "qutrit-prob-at-floor"])
+def test_malformed_model_inputs_are_rejected(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from qcr.errors import ValidationError
-from qcr.serialize import CSV_CHUNK_ROWS, _format_float, write_csv
+from qcr.serialize import CSV_CHUNK_ROWS, _format_float, dumps_report, write_csv
 
 
 def reference_csv(header, rows) -> bytes:
@@ -47,3 +49,22 @@ def test_write_csv_rejects_rows_that_do_not_fit_the_header(tmp_path, rows):
     with pytest.raises(ValidationError):
         write_csv(str(path), ["a", "b"], rows)
     assert not path.exists()
+
+
+@pytest.mark.parametrize("report, match", [
+    ({"x": float("nan")}, "NaN"),
+    ({"x": [1.0, np.inf]}, "NaN"),
+    ({1: 0.0}, "keys must be strings"),
+    ({"x": {1.0, 2.0}}, "cannot serialize set"),
+    ({"x": 1j}, "cannot serialize complex"),
+], ids=["nan", "inf-in-list", "int-key", "set", "complex"])
+def test_dumps_report_rejects_what_json_cannot_hold(report, match):
+    with pytest.raises(ValidationError, match=match):
+        dumps_report(report)
+
+
+def test_dumps_report_round_trips_null_and_empty_containers():
+    report = {"none": None, "empty_dict": {}, "empty_list": [], "nested": [{}, [], None]}
+    text = dumps_report(report)
+    assert json.loads(text) == report
+    assert dumps_report(json.loads(text)) == text

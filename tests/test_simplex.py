@@ -48,13 +48,22 @@ def test_free_variables_via_shifted_box():
     assert res.value == pytest.approx(-2.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("bad", ["c", "a", "b"])
+@pytest.mark.parametrize("bad", ["c", "a", "b", "lb", "ub"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_data_is_rejected(bad, value):
-    data = {"c": np.ones(2), "a": np.ones((1, 2)), "b": np.ones(1)}
+    data = {"c": np.ones(2), "a": np.ones((1, 2)), "b": np.ones(1), "lb": np.zeros(2), "ub": np.full(2, 2.0)}
     data[bad].flat[0] = value
     with pytest.raises(ValidationError):
-        solve_boxed_lp(data["c"], data["a"], data["b"], np.zeros(2), np.full(2, 2.0), maximize=True)
+        solve_boxed_lp(data["c"], data["a"], data["b"], data["lb"], data["ub"], maximize=True)
+
+
+def test_bounds_of_the_wrong_length_or_crossed():
+    with pytest.raises(ValidationError, match="bounds must match"):
+        solve_boxed_lp(np.ones(2), np.ones((1, 2)), np.ones(1), np.zeros(3), np.ones(2))
+    with pytest.raises(ValidationError, match="bounds must match"):
+        solve_boxed_lp(np.ones(2), np.ones((1, 2)), np.ones(1), np.zeros(2), np.ones(1))
+    res = solve_boxed_lp(np.ones(2), np.ones((1, 2)), np.ones(1), [0.0, 1.0], [1.0, 0.5])
+    assert res.status == "infeasible"
 
 
 def test_beale_degenerate_example_terminates():
