@@ -21,7 +21,6 @@ from .errors import (
     ValidationError,
 )
 from .measurement import (
-    Atom,
     RandomMeasurement,
     covariance,
     deviation,

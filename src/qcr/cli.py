@@ -33,13 +33,7 @@ from .measurement import (
 from .model import StatisticalModel, build_model, builtin_model
 from .operators import DensityOperator, require_hermitian
 from .randomness import is_random_model
-from .serialize import (
-    complex_matrix_to_lists,
-    dumps_report,
-    matrix_to_lists,
-    vector_to_list,
-    write_csv,
-)
+from .serialize import dumps_report, write_csv
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -140,8 +134,8 @@ def _model_summary(model: StatisticalModel) -> dict:
     return {
         "dim": model.dim,
         "n": model.n,
-        "rho_eigenvalues": vector_to_list(np.linalg.eigvalsh(model.rho.matrix)),
-        "fisher_eigenvalues": vector_to_list(np.linalg.eigvalsh(model.fisher)),
+        "rho_eigenvalues": np.linalg.eigvalsh(model.rho.matrix),
+        "fisher_eigenvalues": np.linalg.eigvalsh(model.fisher),
     }
 
 
@@ -186,8 +180,8 @@ def run_command(args) -> int:
 
 def cmd_info(args, model: StatisticalModel) -> Outcome:
     results = {
-        "fisher": matrix_to_lists(model.fisher),
-        "fisher_inverse": matrix_to_lists(model.fisher_inverse),
+        "fisher": model.fisher,
+        "fisher_inverse": model.fisher_inverse,
     }
     return Outcome(results, [
         f"dim = {model.dim}, n = {model.n}",
@@ -229,8 +223,8 @@ def cmd_dual(args, model: StatisticalModel) -> Outcome:
         "feasibility_residual": res.feasibility,
         "solver_status": res.status,
         "certified": res.certified,
-        "dual_a": matrix_to_lists(res.dual.a),
-        "dual_s": complex_matrix_to_lists(res.dual.s),
+        "dual_a": res.dual.a,
+        "dual_s": res.dual.s,
     }
     text = [
         f"dual optimum        : {res.optimum:.12g}",
@@ -265,7 +259,7 @@ def cmd_check_random(args, model: StatisticalModel) -> Outcome:
     results = {"verdict": rep.verdict, "score": rep.score}
     text = [f"random model: {rep.verdict} (score {rep.score:.3e})"]
     if rep.verdict:
-        results["constant"] = complex_matrix_to_lists(rep.constant)
+        results["constant"] = rep.constant
         text += ["constant block C:", _fmt_matrix(rep.constant)]
         return Outcome(results, text, "true")
     results["witness"] = list(rep.witness)
@@ -329,9 +323,9 @@ def cmd_simulate(args, model: StatisticalModel) -> Outcome:
     emp_dev = float(np.trace(g @ sim.cov))
     results = {
         "samples": sim.n_samples,
-        "empirical_mean": vector_to_list(sim.mean),
-        "mean_standard_errors": vector_to_list(se_mean),
-        "empirical_cov": matrix_to_lists(sim.cov),
+        "empirical_mean": sim.mean,
+        "mean_standard_errors": se_mean,
+        "empirical_cov": sim.cov,
         "empirical_deviation": emp_dev,
         "second_moment": sim.quad_mean,
         "deviation_standard_error": sim.quad_se,

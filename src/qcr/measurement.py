@@ -1,9 +1,9 @@
 """Finite-support random measurements and the optimal construction.
 
 A random measurement is a finite mixture of simple measurements: with
-probability ``weight`` the observable built from the cotangent coordinates
-``observable`` is measured projectively and the eigenvalue outcome ``y`` is
-reported as the estimate ``y * direction``.
+probability ``weights[k]`` the observable built from the cotangent
+coordinates ``observables[k]`` is measured projectively and the eigenvalue
+outcome ``y`` is reported as the estimate ``y * directions[k]``.
 
 Local unbiasedness is then one linear condition on the Jacobian: the mean
 estimate vanishes for every such measurement, as each observable is a sum of
@@ -26,50 +26,42 @@ WEIGHT_PD_TOL = 1e-10
 WEIGHT_SYM_TOL = 1e-12
 UNBIASED_TOL = 1e-8
 CERTIFICATE_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Atom:
-    """One mixture component: (weight, estimate direction, observable coords)."""
-
-    weight: float
-    direction: np.ndarray
-    observable: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        c = np.asarray(self.observable, dtype=float)
-        if d.ndim != 1 or d.shape != c.shape:
-            raise ValidationError(f"atom: direction {d.shape} and observable {c.shape} must match")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(c))):
-            raise ValidationError("atom: coordinates must be finite")
-        if not self.weight > 0.0:
-            raise ValidationError(f"atom: weight {self.weight!r} must be positive")
-        object.__setattr__(self, "weight", float(self.weight))
-        object.__setattr__(self, "direction", _readonly(d))
-        object.__setattr__(self, "observable", _readonly(c))
+SAMPLE_TRIES = 50
 
 
 @dataclass(frozen=True)
 class RandomMeasurement:
-    """Finite-support probability measure over (direction, observable) pairs."""
+    """Finite-support probability measure over (direction, observable) pairs.
 
-    atoms: tuple[Atom, ...]
+    Row k of the ``(k, n)`` arrays ``directions`` and ``observables`` is one
+    mixture component, taken with probability ``weights[k]``. The arrays are
+    stored as read-only copies.
+    """
+
+    weights: np.ndarray
+    directions: np.ndarray
+    observables: np.ndarray
 
     def __post_init__(self):
-        if not self.atoms:
-            raise ValidationError("measurement needs at least one atom")
-        n = self.atoms[0].direction.shape[0]
-        if any(a.direction.shape[0] != n for a in self.atoms):
-            raise ValidationError("all atoms must share the parameter dimension")
-        total = math.fsum(a.weight for a in self.atoms)
+        w = np.array(self.weights, dtype=float)
+        d = np.array(self.directions, dtype=float)
+        c = np.array(self.observables, dtype=float)
+        if w.ndim != 1 or w.size == 0 or d.ndim != 2 or d.shape != c.shape or len(d) != w.size:
+            raise ValidationError(f"measurement: weights {w.shape}, directions {d.shape} and observables "
+                                  f"{c.shape} must have shapes (k,), (k, n) and (k, n) with k >= 1")
+        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(c))):
+            raise ValidationError("measurement: coordinates must be finite")
+        if not np.all(w > 0.0):
+            raise ValidationError("measurement: weights must be positive")
+        total = math.fsum(w)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(f"weights sum to {total!r}, not 1")
-        object.__setattr__(self, "atoms", tuple(self.atoms))
+            raise ValidationError(f"measurement: weights sum to {total!r}, not 1")
+        for name, a in (("weights", w), ("directions", d), ("observables", c)):
+            object.__setattr__(self, name, _readonly(a))
 
     @property
     def n(self) -> int:
-        return self.atoms[0].direction.shape[0]
+        return self.directions.shape[1]
 
 
 def mix_measurements(parts, weights) -> RandomMeasurement:
@@ -77,10 +69,9 @@ def mix_measurements(parts, weights) -> RandomMeasurement:
     w = np.asarray(weights, dtype=float)
     if len(parts) != w.size or abs(w.sum() - 1.0) > WEIGHT_SUM_TOL or np.any(w <= 0):
         raise ValidationError("mixture weights must be positive and sum to 1")
-    atoms = []
-    for p, wi in zip(parts, w):
-        atoms.extend(Atom(wi * a.weight, a.direction, a.observable) for a in p.atoms)
-    return RandomMeasurement(tuple(atoms))
+    return RandomMeasurement(np.concatenate([wi * p.weights for p, wi in zip(parts, w)]),
+                             np.concatenate([p.directions for p in parts]),
+                             np.concatenate([p.observables for p in parts]))
 
 
 def require_weight_matrix(g, n: int | None = None) -> np.ndarray:
@@ -129,9 +120,7 @@ def is_locally_unbiased(model: StatisticalModel, p: RandomMeasurement) -> Unbias
     """
     if p.n != model.n:
         raise ValidationError(f"measurement dimension {p.n} != model dimension {model.n}")
-    jac = np.zeros((model.n, model.n))
-    for a in p.atoms:
-        jac += a.weight * np.outer(a.direction, model.fisher @ a.observable)
+    jac = (p.directions.T * p.weights) @ (p.observables @ model.fisher)
     jac_res = float(np.linalg.norm(jac - np.eye(model.n)))
     return UnbiasednessReport(jac_res <= UNBIASED_TOL, jac_res)
 
@@ -142,10 +131,8 @@ def covariance(model: StatisticalModel, p: RandomMeasurement) -> np.ndarray:
     if not rep:
         raise UnbiasednessError(
             f"measurement is not locally unbiased (jacobian residual {rep.jacobian_residual:.3e})")
-    v = np.zeros((model.n, model.n))
-    for a in p.atoms:
-        second = float(a.observable @ model.fisher @ a.observable)
-        v += a.weight * (second * np.outer(a.direction, a.direction))
+    second = np.einsum("ki,ij,kj->k", p.observables, model.fisher, p.observables)
+    v = (p.directions.T * (p.weights * second)) @ p.directions
     return (v + v.T) / 2.0
 
 
@@ -175,29 +162,20 @@ def optimal_random_bound(model: StatisticalModel, g) -> float:
     return float(np.trace(_whitened_weight_sqrt(model, g))) ** 2
 
 
-def _normalized_weight_eigensystem(model: StatisticalModel, g) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (summing to 1) and J-orthonormal eigenvectors of W / tr W."""
-    mid = _whitened_weight_sqrt(model, g)
-    lam, u = np.linalg.eigh(mid)
-    if lam[0] <= 0.0:
-        raise NotPsdError("weight operator has a non-positive eigenvalue")
-    vecs = model.fisher_isqrt @ u
-    return lam / lam.sum(), vecs
-
-
 def optimal_random_measurement(model: StatisticalModel, g) -> RandomMeasurement:
     """The deviation-minimizing random measurement for weight G.
 
-    One atom per eigenvector of the normalized weight operator: weight equal
-    to the eigenvalue, estimate direction the eigenvector divided by it, and
-    the observable with the same coordinates as the eigenvector. Its
+    One component per eigenvector of the normalized weight operator: weight
+    equal to the eigenvalue, estimate direction the eigenvector divided by
+    it, and the observable with the same coordinates as the eigenvector. Its
     covariance is (tr W) W^{-1} J^{-1} and its deviation (tr W)^2.
     """
-    lam, vecs = _normalized_weight_eigensystem(model, g)
-    atoms = tuple(
-        Atom(float(lam[i]), vecs[:, i] / lam[i], vecs[:, i]) for i in range(model.n)
-    )
-    return RandomMeasurement(atoms)
+    lam, u = np.linalg.eigh(_whitened_weight_sqrt(model, g))
+    if lam[0] <= 0.0:
+        raise NotPsdError("weight operator has a non-positive eigenvalue")
+    lam = lam / lam.sum()
+    vecs = model.fisher_isqrt @ u
+    return RandomMeasurement(lam, (vecs / lam).T, vecs.T)
 
 
 def optimal_covariance(model: StatisticalModel, g) -> np.ndarray:
@@ -206,9 +184,7 @@ def optimal_covariance(model: StatisticalModel, g) -> np.ndarray:
     This is the Pareto-frontier point selected by the weight G; it is
     invariant under rescaling of G.
     """
-    lam, vecs = _normalized_weight_eigensystem(model, g)
-    v = (vecs / lam) @ vecs.T
-    return (v + v.T) / 2.0
+    return covariance(model, optimal_random_measurement(model, g))
 
 
 @dataclass(frozen=True)
@@ -228,8 +204,8 @@ def random_certificate_gap(model: StatisticalModel, g, p: RandomMeasurement, a,
                            s: float) -> CertificateReport:
     """Average slack sum_k w_k [g(x,x)||X||^2 - <X, a(x)> - S] of a multiplier.
 
-    Also reports the smallest per-atom integrand (``pointwise_ok`` when it is
-    at least ``-CERTIFICATE_TOL``) and, when the measurement is locally
+    Also reports the smallest per-component integrand (``pointwise_ok`` when
+    it is at least ``-CERTIFICATE_TOL``) and, when the measurement is locally
     unbiased, the residual of the identity gap = deviation - tr a - S.
     """
     gm = require_weight_matrix(g, model.n)
@@ -241,14 +217,13 @@ def random_certificate_gap(model: StatisticalModel, g, p: RandomMeasurement, a,
     if np.ndim(s) or np.asarray(s).dtype.kind not in "iuf" or not math.isfinite(s):
         raise ValidationError(f"multiplier s must be a finite real number, got {plain(s)!r}")
     s = float(s)
-    terms = []
-    for atom in p.atoms:
-        quad = float(atom.direction @ gm @ atom.direction)
-        norm2 = float(atom.observable @ model.fisher @ atom.observable)
-        pairing = float(atom.observable @ model.fisher @ (am @ atom.direction))
-        terms.append((atom.weight, quad * norm2 - pairing - s))
-    gap = math.fsum(w * t for w, t in terms)
-    pmin = min(t for _, t in terms)
+    d, cj = p.directions, p.observables @ model.fisher
+    quad = np.einsum("ki,ij,kj->k", d, gm, d)
+    norm2 = np.einsum("ki,ki->k", cj, p.observables)
+    pairing = np.einsum("ki,ki->k", cj, d @ am.T)
+    terms = quad * norm2 - pairing - s
+    gap = math.fsum(p.weights * terms)
+    pmin = float(terms.min())
     identity = float("nan")
     if is_locally_unbiased(model, p):
         identity = abs(gap - (deviation(model, gm, p) - float(np.trace(am)) - s))
@@ -312,16 +287,17 @@ def frontier_witnesses_2d(model: StatisticalModel, vs) -> tuple[np.ndarray, np.n
 
 
 def sample_locally_unbiased(model: StatisticalModel, rng: np.random.Generator,
-                            n_atoms: int | None = None, max_tries: int = 50) -> RandomMeasurement:
-    """Draw a random locally unbiased measurement.
+                            n_atoms: int | None = None) -> RandomMeasurement:
+    """Draw a random locally unbiased measurement with ``n_atoms`` components (default n + 2).
 
-    Atoms get random weights and observables; the directions solve the linear
-    unbiasedness constraint by least squares. Infeasible draws are rejected.
+    Components get random weights and observables; the directions solve the
+    linear unbiasedness constraint by least squares. Infeasible draws are
+    rejected, and ``SAMPLE_TRIES`` rejections in a row are an error.
     """
     n = model.n
-    # fewer than n atoms cannot meet the rank condition
+    # fewer than n components cannot meet the rank condition
     k = n + 2 if n_atoms is None else require_int(n_atoms, "n_atoms", n)
-    for _ in range(require_int(max_tries, "max_tries", 1)):
+    for _ in range(SAMPLE_TRIES):
         weights = rng.dirichlet(np.ones(k))
         if np.any(weights < 1e-3):
             continue
@@ -333,7 +309,7 @@ def sample_locally_unbiased(model: StatisticalModel, rng: np.random.Generator,
         if np.linalg.norm(design @ dirs_t - np.eye(n)) > 1e-9:
             continue
         # the residual above is the Jacobian check of is_locally_unbiased, transposed
-        return RandomMeasurement(tuple(Atom(float(weights[i]), dirs_t[i], obs[i]) for i in range(k)))
+        return RandomMeasurement(weights, dirs_t, obs)
     raise ValidationError("failed to sample a locally unbiased measurement")
 
 
@@ -351,8 +327,8 @@ def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: 
     """Monte Carlo run of a locally unbiased random measurement.
 
     The reported moments depend on the samples only through how often each
-    (atom, outcome) pair occurs, so those counts are drawn directly: a
-    multinomial over the mixture weights, then one over each atom's Born
+    (component, outcome) pair occurs, so those counts are drawn directly: a
+    multinomial over the mixture weights, then one over each component's Born
     probabilities. The joint counts are Multinomial(samples, w_j p_jo), as
     for sample-by-sample draws, and cost and memory do not depend on
     ``samples`` (at most 2**63 - 1). Results are deterministic given
@@ -367,18 +343,17 @@ def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: 
         raise UnbiasednessError("simulate requires a locally unbiased measurement")
     gm = None if weight is None else require_weight_matrix(weight, model.n)
 
-    weights = np.array([a.weight for a in p.atoms])
     rng = np.random.default_rng(seed)
-    atom_counts = rng.multinomial(samples, weights / weights.sum())
+    component_counts = rng.multinomial(samples, p.weights / p.weights.sum())
     rho = model.rho.matrix
     est, counts = [], []
-    for a, cnt in zip(p.atoms, atom_counts):
-        dec = eigh(cotangent_operator(model, a.observable), name="observable")
+    for direction, observable, cnt in zip(p.directions, p.observables, component_counts):
+        dec = eigh(cotangent_operator(model, observable), name="observable")
         probs = np.einsum("ij,jk,ki->i", dec.eigenvectors.conj().T, rho, dec.eigenvectors).real
         probs = np.clip(probs, 0.0, None)
         counts.append(rng.multinomial(cnt, probs / probs.sum()))
-        est.append(dec.eigenvalues[:, None] * a.direction)
-    est = np.concatenate(est)  # the estimate of every (atom, outcome) pair
+        est.append(dec.eigenvalues[:, None] * direction)
+    est = np.concatenate(est)  # the estimate of every (component, outcome) pair
     freq = np.concatenate(counts) / samples
 
     mean = freq @ est

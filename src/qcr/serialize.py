@@ -1,7 +1,9 @@
 """Report serialization: JSON with 17-significant-digit floats, and CSV.
 
 The JSON writer is deliberately tiny and deterministic so that parsing an
-emitted report and re-serializing it reproduces the bytes exactly.
+emitted report and re-serializing it reproduces the bytes exactly. It
+writes a real NumPy array as nested lists of floats and a complex one as
+{"re": ..., "im": ...}.
 """
 
 from __future__ import annotations
@@ -39,6 +41,11 @@ def _serialize(obj, indent: int, pieces: list[str]) -> None:
             _serialize(val, indent + 1, pieces)
             pieces.append(",\n" if i + 1 < len(obj) else "\n")
         pieces.append(pad + "}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "iufc":
+        if obj.dtype.kind == "c":
+            _serialize({"re": obj.real, "im": obj.imag}, indent, pieces)
+        else:
+            _serialize(obj.astype(float).tolist(), indent, pieces)
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             pieces.append("[]")
@@ -68,21 +75,6 @@ def dumps_report(report: dict) -> str:
     _serialize(report, 0, pieces)
     pieces.append("\n")
     return "".join(pieces)
-
-
-def matrix_to_lists(m: np.ndarray) -> list:
-    """Real matrix as nested float lists."""
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
-
-
-def complex_matrix_to_lists(m: np.ndarray) -> dict:
-    """Complex matrix as {re, im} nested float lists."""
-    a = np.asarray(m, dtype=complex)
-    return {"re": matrix_to_lists(a.real), "im": matrix_to_lists(a.imag)}
-
-
-def vector_to_list(v: np.ndarray) -> list:
-    return [float(x) for x in np.asarray(v, dtype=float)]
 
 
 def write_csv(path: str, header: list[str], rows) -> None:

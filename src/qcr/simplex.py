@@ -36,7 +36,10 @@ leaving row comes from a Harris two-pass ratio test, which keeps pivots
 large and bounds how far round-off can push any basic variable negative.
 After a long degenerate stall the method switches to Bland's rule
 outright, which rules out cycling, and every result is verified feasible
-before it is returned.
+before it is returned. A first run (warm or from the box) that passes the
+iteration limit, ends on an unbounded ray or fails that check gets one
+pure-Bland restart from the box; only the Bland run's own failure raises
+or reports the LP infeasible.
 """
 
 from __future__ import annotations
@@ -211,22 +214,28 @@ def solve_boxed_lp(c, a_ub, b_ub, lb, ub, *, maximize: bool = False, start=None)
         return basis, np.clip(ub - state[2][m: m + nv], lb, ub), iters
 
     out = None
-    if start is not None:
-        labels = np.asarray(start, dtype=np.intp).reshape(-1)
-        if labels.size == nv and np.all((labels >= -2 * nv) & (labels < m)):
-            out = run(np.where(labels >= 0, labels, m - 1 - labels))
-    warm = out is not None
-    if out is None:
-        out = run(box)
-    basis, x, iters = out
+    try:
+        if start is not None:
+            labels = np.asarray(start, dtype=np.intp).reshape(-1)
+            if labels.size == nv and np.all((labels >= -2 * nv) & (labels < m)):
+                out = run(np.where(labels >= 0, labels, m - 1 - labels))
+        warm = out is not None
+        if out is None:
+            out = run(box)
+        basis, x, iters = out
+    except NumericError:
+        # the first run passed the iteration limit
+        basis, x, iters = box, None, max_iter + 1
     scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    if x is not None and m and float(np.max(a @ x - b)) > 1e-7 * scale:
-        # numerically degenerate instances occasionally drift infeasible;
-        # one pure-Bland restart from the box is slow but dependable
+    if x is None or (m and float(np.max(a @ x - b)) > 1e-7 * scale):
+        # numerically degenerate instances occasionally drift infeasible,
+        # stall past the iteration limit or end on a spurious unbounded ray;
+        # one pure-Bland restart from the box is slow but dependable, and only
+        # its own failure raises or reports the LP infeasible
         basis, x, more = run(box, bland=True)
         iters += more
         warm = False
-        if x is not None and float(np.max(a @ x - b)) > 1e-6 * scale:
+        if x is not None and m and float(np.max(a @ x - b)) > 1e-6 * scale:
             raise NumericError("simplex: result failed the feasibility check")
     if x is None:
         return LpResult("infeasible", None, float("nan"), iters, warm=warm)

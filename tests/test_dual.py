@@ -837,6 +837,23 @@ def test_non_commuting_brackets_lie_between_the_classical_and_random_bounds(kind
         assert sol.lp_value >= classical - cfg.obj_tol
 
 
+# random complex models with more parameters than the dimension, which mostly
+# end unconverged at the round cap: a warm LP that stalls past the simplex's
+# iteration limit (which seed does so varies with the platform's linear
+# algebra) is finished by the box restart, so no solve raises, and each
+# bracket lies between the classical and random bounds
+@pytest.mark.slow
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (4, 6) for seed in range(1, 13)])
+def test_random_models_with_more_parameters_than_the_dimension_solve(n, seed):
+    m, g = random_model(3, n, np.random.default_rng(seed)), np.eye(n)
+    cfg = SolverConfig(feas_tol=1e-6, obj_tol=1e-6)
+    sol = solve_dual(m, g, cfg)
+    assert _ends_clean_or_capped(sol, cfg)
+    classical = float(np.trace(g @ m.fisher_inverse))
+    band = cfg.obj_tol + 3 * cfg.feas_tol
+    assert classical - band <= sol.optimum <= sol.lp_value <= optimal_random_bound(m, g) + cfg.obj_tol
+
+
 # -- warm-started relaxations ------------------------------------------------------
 
 @pytest.mark.parametrize("name", ["qubit-full", "commuting-d4"])
@@ -1085,8 +1102,6 @@ def test_dual_points_sized_for_another_model_are_rejected(call, point):
     pytest.param(lambda m: dual_submodel_inequality(m, ["x"], np.eye(1)), id="subspace-index-str"),
     pytest.param(lambda m: sample_locally_unbiased(m, np.random.default_rng(0), n_atoms=4.7),
                  id="n_atoms-float"),
-    pytest.param(lambda m: sample_locally_unbiased(m, np.random.default_rng(0), max_tries=2.5),
-                 id="max_tries-float"),
 ])
 def test_non_integer_counts_and_seeds_are_input_errors(call):
     with pytest.raises(ValidationError):

@@ -5,7 +5,6 @@ import pytest
 
 from qcr.errors import NotPsdError, UnbiasednessError, ValidationError
 from qcr.measurement import (
-    Atom,
     RandomMeasurement,
     covariance,
     deviation,
@@ -34,10 +33,15 @@ def qubit(alpha=0.6):
 def eq18_covariance(model, p):
     # direct summation oracle for the covariance
     v = np.zeros((model.n, model.n))
-    for a in p.atoms:
-        norm2 = float(a.observable @ model.fisher @ a.observable)
-        v += a.weight * norm2 * np.outer(a.direction, a.direction)
+    for w, d, c in zip(p.weights, p.directions, p.observables):
+        norm2 = float(c @ model.fisher @ c)
+        v += w * norm2 * np.outer(d, d)
     return v
+
+
+def single(direction, observable):
+    """A one-component measurement."""
+    return RandomMeasurement([1.0], [direction], [observable])
 
 
 def random_j_selfadjoint_pd(model, rng, trace=None):
@@ -95,23 +99,20 @@ def test_optimal_measurement_is_locally_unbiased():
     assert rep
     assert rep.jacobian_residual <= 1e-10
     # no mean condition is checked: every observable has zero mean at rho
-    for a in p.atoms:
-        assert abs(np.trace(m.rho.matrix @ cotangent_operator(m, a.observable))) <= 1e-12
+    for c in p.observables:
+        assert abs(np.trace(m.rho.matrix @ cotangent_operator(m, c))) <= 1e-12
 
 
 def test_single_atom_cannot_cover_three_parameters():
     m = qubit(0.0)
     e1 = np.array([1.0, 0.0, 0.0])
-    p = RandomMeasurement((Atom(1.0, e1, e1),))
-    assert not is_locally_unbiased(m, p)
+    assert not is_locally_unbiased(m, single(e1, e1))
 
 
 def test_reciprocal_scaling_keeps_verdict():
     m = qubit()
     p = optimal_random_measurement(m, np.eye(3))
-    scaled = RandomMeasurement(tuple(
-        Atom(a.weight, 2.0 * a.direction, 0.5 * a.observable) for a in p.atoms
-    ))
+    scaled = RandomMeasurement(p.weights, 2.0 * p.directions, 0.5 * p.observables)
     assert is_locally_unbiased(m, scaled)
 
 
@@ -124,21 +125,54 @@ def test_require_int_names_numpy_values_as_plain_numbers():
 
 
 def test_measurement_validation():
-    with pytest.raises(ValidationError):
-        RandomMeasurement(())
-    with pytest.raises(ValidationError):
-        Atom(0.0, np.ones(2), np.ones(2))
-    with pytest.raises(ValidationError):
-        RandomMeasurement((Atom(0.7, np.ones(2), np.ones(2)),))
-    with pytest.raises(ValidationError, match="must match"):
-        Atom(1.0, np.ones(2), np.ones(3))
-    with pytest.raises(ValidationError, match="finite"):
-        Atom(1.0, np.array([1.0, np.nan]), np.ones(2))
-    with pytest.raises(ValidationError, match="finite"):
-        Atom(1.0, np.ones(2), np.array([np.inf, 1.0]))
-    p = optimal_random_measurement(qubit(), np.eye(3))
+    w, d, c = np.array([0.25, 0.75]), np.ones((2, 3)), np.eye(3)[:2]
+    p = RandomMeasurement(w, d, c)
+    assert p.n == 3
+    # the arrays are stored as read-only copies: the caller's stay writable
+    for stored, given in ((p.weights, w), (p.directions, d), (p.observables, c)):
+        assert not stored.flags.writeable and given.flags.writeable
+        assert np.array_equal(stored, given) and not np.shares_memory(stored, given)
+    q = optimal_random_measurement(qubit(), np.eye(3))
     with pytest.raises(ValidationError, match="sum to 1"):
-        mix_measurements([p, p], [0.5, 0.6])
+        mix_measurements([q, q], [0.5, 0.6])
+
+
+@pytest.mark.parametrize("weights, directions, observables, match", [
+    ([], np.zeros((0, 2)), np.zeros((0, 2)), "shapes"),
+    ([0.5, 0.5], np.ones((1, 2)), np.ones((1, 2)), "shapes"),
+    ([1.0], np.ones(2), np.ones(2), "shapes"),
+    ([[1.0]], np.ones((1, 2)), np.ones((1, 2)), "shapes"),
+    ([1.0], np.ones((1, 2)), np.ones((1, 3)), "shapes"),
+    ([0.0, 1.0], np.ones((2, 2)), np.ones((2, 2)), "positive"),
+    ([-0.5, 1.5], np.ones((2, 2)), np.ones((2, 2)), "positive"),
+    ([np.nan], np.ones((1, 2)), np.ones((1, 2)), "positive"),
+    ([0.7], np.ones((1, 2)), np.ones((1, 2)), "sum to 0.7, not 1"),
+    ([1.0], [[1.0, np.nan]], np.ones((1, 2)), "finite"),
+    ([1.0], np.ones((1, 2)), [[np.inf, 1.0]], "finite"),
+], ids=["zero-rows", "weights-length", "directions-1d", "weights-2d", "observables-shape",
+        "zero-weight", "negative-weight", "nan-weight", "weight-sum", "nan-direction",
+        "inf-observable"])
+def test_malformed_measurement_arrays_are_rejected(weights, directions, observables, match):
+    with pytest.raises(ValidationError, match=match):
+        RandomMeasurement(weights, directions, observables)
+
+
+def test_array_consumers_match_per_component_sums():
+    m = qubit(0.3)
+    rng = np.random.default_rng(40)
+    g = np.diag([1.0, 2.0, 0.5])
+    a = rng.normal(size=(3, 3))
+    for _ in range(5):
+        p = sample_locally_unbiased(m, rng, n_atoms=6)
+        jac = sum(w * np.outer(d, m.fisher @ c) for w, d, c in zip(p.weights, p.directions, p.observables))
+        assert is_locally_unbiased(m, p).jacobian_residual == pytest.approx(
+            np.linalg.norm(jac - np.eye(3)), abs=1e-13)
+        assert np.allclose(covariance(m, p), eq18_covariance(m, p), rtol=1e-13, atol=1e-13)
+        terms = [float(d @ g @ d) * float(c @ m.fisher @ c) - float(c @ m.fisher @ (a @ d)) - 0.3
+                 for d, c in zip(p.directions, p.observables)]
+        rep = random_certificate_gap(m, g, p, a, 0.3)
+        assert rep.gap == pytest.approx(float(np.dot(p.weights, terms)), rel=1e-13, abs=1e-13)
+        assert rep.pointwise_min == pytest.approx(min(terms), rel=1e-13, abs=1e-13)
 
 
 # -- covariance and deviation -------------------------------------------------
@@ -155,13 +189,13 @@ def test_covariance_requires_unbiasedness():
     m = qubit()
     e1 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(UnbiasednessError):
-        covariance(m, RandomMeasurement((Atom(1.0, e1, e1),)))
+        covariance(m, single(e1, e1))
 
 
 def test_one_parameter_classical_covariance():
     m = one_parameter_model()
     j = m.fisher[0, 0]
-    p = RandomMeasurement((Atom(1.0, np.array([1.0 / j]), np.array([1.0])),))
+    p = single([1.0 / j], [1.0])
     assert covariance(m, p)[0, 0] == pytest.approx(1.0 / j, abs=1e-12)
 
 
@@ -246,10 +280,8 @@ def test_optimal_measurement_uniform_weight():
     m = qubit()
     n = m.n
     p = optimal_random_measurement(m, m.fisher / n**2)
-    weights = sorted(a.weight for a in p.atoms)
-    assert np.allclose(weights, [1.0 / n] * n, atol=1e-12)
-    for a in p.atoms:
-        assert np.linalg.norm(a.direction - n * a.observable) <= 1e-9
+    assert np.allclose(p.weights, 1.0 / n, atol=1e-12)
+    assert np.all(np.linalg.norm(p.directions - n * p.observables, axis=1) <= 1e-9)
     assert np.allclose(covariance(m, p), n * m.fisher_inverse, atol=1e-9)
     assert deviation(m, m.fisher / n**2, p) == pytest.approx(1.0, abs=1e-12)
 
@@ -257,15 +289,14 @@ def test_optimal_measurement_uniform_weight():
 def test_optimal_measurement_identity_weight():
     m = qubit()
     p = optimal_random_measurement(m, np.eye(3))
-    weights = sorted(a.weight for a in p.atoms)
-    assert np.allclose(weights, np.array([0.8, 1.0, 1.0]) / 2.8, atol=1e-12)
+    assert np.allclose(np.sort(p.weights), np.array([0.8, 1.0, 1.0]) / 2.8, atol=1e-12)
 
 
 def test_optimal_measurement_one_parameter():
     m = one_parameter_model()
     g = np.array([[3.0]])
     p = optimal_random_measurement(m, g)
-    assert len(p.atoms) == 1
+    assert p.weights.shape == (1,)
     assert deviation(m, g, p) == pytest.approx(3.0 / m.fisher[0, 0], abs=1e-12)
 
 
@@ -443,7 +474,7 @@ def test_simulate_requires_unbiased():
     m = qubit()
     e1 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(UnbiasednessError):
-        simulate(m, RandomMeasurement((Atom(1.0, e1, e1),)), 10, seed=0)
+        simulate(m, single(e1, e1), 10, seed=0)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
@@ -463,7 +494,7 @@ def test_simulate_shifted_and_many_atom_measurements(make):
     m = qubit()
     g = np.diag([1.0, 2.0, 0.7])
     p = make(m, np.random.default_rng(21))
-    assert len(p.atoms) > m.n
+    assert len(p.weights) > m.n
     sim = simulate(m, p, 200_000, seed=6, weight=g)
     v = covariance(m, p)
     se = np.sqrt(np.diag(v) / sim.n_samples)

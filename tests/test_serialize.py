@@ -68,3 +68,25 @@ def test_dumps_report_round_trips_null_and_empty_containers():
     text = dumps_report(report)
     assert json.loads(text) == report
     assert dumps_report(json.loads(text)) == text
+
+
+def test_dumps_report_writes_arrays_as_nested_float_lists():
+    rng = np.random.default_rng(3)
+    real = rng.normal(size=(3, 2))
+    cplx = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    report = {"vector": real[:, 0], "matrix": real, "ints": np.arange(3), "complex": cplx,
+              "empty": np.zeros(0)}
+    # the bytes of the same report built from Python floats
+    plain = {"vector": [float(x) for x in real[:, 0]],
+             "matrix": [[float(x) for x in row] for row in real],
+             "ints": [0.0, 1.0, 2.0],
+             "complex": {"re": [[float(x) for x in row] for row in cplx.real],
+                         "im": [[float(x) for x in row] for row in cplx.imag]},
+             "empty": []}
+    text = dumps_report(report)
+    assert text == dumps_report(plain)
+    assert json.loads(text) == plain
+    with pytest.raises(ValidationError, match="NaN"):
+        dumps_report({"x": np.array([1.0, np.nan])})
+    with pytest.raises(ValidationError, match="cannot serialize ndarray"):
+        dumps_report({"x": np.array([True, False])})

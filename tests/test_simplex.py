@@ -576,6 +576,50 @@ def test_an_infeasible_result_restarts_from_the_box_under_bland(monkeypatch):
     assert np.max(np.asarray(a) @ res.x - b) <= 1e-9
 
 
+def _failing_iterate(monkeypatch, failure, times):
+    """Patch ``_iterate`` so that its first ``times`` runs fail; each call records Bland's rule.
+
+    ``"limit"`` raises the iteration-limit error, ``"unbounded"`` reports an
+    unbounded ray, which would make the LP infeasible.
+    """
+    real = qcr.simplex._iterate
+    calls = []
+
+    def iterate(cols, binv, xb, rc, basis, tol, max_iter, bland=False):
+        calls.append(bland)
+        if len(calls) > times:
+            return real(cols, binv, xb, rc, basis, tol, max_iter, bland)
+        if failure == "limit":
+            raise NumericError(f"simplex: iteration limit {max_iter} exceeded")
+        return 0, False
+
+    monkeypatch.setattr(qcr.simplex, "_iterate", iterate)
+    return calls
+
+
+@pytest.mark.parametrize("failure", ["limit", "unbounded"])
+def test_a_failed_warm_run_restarts_from_the_box_under_bland(monkeypatch, failure):
+    c, a, b, lb, ub = RECOVERY_LP
+    ref = scipy_linprog(-np.asarray(c), A_ub=a, b_ub=b, bounds=list(zip(lb, ub)), method="highs")
+    cold = solve_boxed_lp(c, a, b, lb, ub, maximize=True)
+    calls = _failing_iterate(monkeypatch, failure, times=1)
+    res = solve_boxed_lp(c, a, b, lb, ub, maximize=True, start=cold.basis)
+    assert calls == [False, True]
+    assert res.status == "optimal" and res.warm is False
+    assert res.value == pytest.approx(-ref.fun, abs=1e-9)
+
+
+def test_only_the_bland_runs_failure_raises_or_reports_infeasible(monkeypatch):
+    c, a, b, lb, ub = RECOVERY_LP
+    calls = _failing_iterate(monkeypatch, "limit", times=2)
+    with pytest.raises(NumericError, match="iteration limit"):
+        solve_boxed_lp(c, a, b, lb, ub, maximize=True)
+    assert calls == [False, True]
+    calls = _failing_iterate(monkeypatch, "unbounded", times=2)
+    assert solve_boxed_lp(c, a, b, lb, ub, maximize=True).status == "infeasible"
+    assert calls == [False, True]
+
+
 def test_a_repeated_infeasible_result_raises_and_the_cli_exits_3(monkeypatch, capsys):
     c, a, b, lb, ub = RECOVERY_LP
     calls = _corrupting_iterate(monkeypatch, times=10**9)
