@@ -58,7 +58,6 @@ from .operators import (
     sym_product,
 )
 from .randomness import (
-    BilinearTable,
     bilinear_table,
     is_random_model,
     orthonormal_cotangent_basis,

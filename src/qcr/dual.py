@@ -174,10 +174,7 @@ def residual(model: StatisticalModel, g, dual: DualPoint, xi) -> np.ndarray:
         raise ValidationError(f"dual point: a must be {model.n}x{model.n}")
     if dual.s.shape != (model.dim, model.dim):
         raise ValidationError(f"dual point: S must be {model.dim}x{model.dim}")
-    coef = dual.a @ xi
-    mat = float(xi @ gm @ xi) * model.rho.matrix - dual.s
-    for ci, t in zip(coef, model.tangent):
-        mat = mat - ci * t
+    mat = float(xi @ gm @ xi) * model.rho.matrix - dual.s - np.tensordot(dual.a @ xi, model.tangent, 1)
     return (mat + mat.conj().T) / 2.0
 
 
@@ -369,7 +366,7 @@ class _Engine:
 
     def __init__(self, model: StatisticalModel, g: np.ndarray, obj: np.ndarray):
         self.rho = np.asarray(model.rho.matrix)
-        self.ops = np.stack([np.asarray(t) for t in model.tangent])
+        self.ops = model.tangent
         self.G = g
         self.obj = np.asarray(obj, dtype=float)
         self.d = model.dim
@@ -775,7 +772,7 @@ def dual_submodel_inequality(model: StatisticalModel, subspace_indices, g_sub,
     k = len(idx)
     g_sub = require_weight_matrix(g_sub, k)
 
-    sub = build_model(model.rho, [model.tangent[i] for i in idx])
+    sub = build_model(model.rho, model.tangent[idx])
     res_sub = solve_dual(sub, g_sub, cfg)
 
     emb = np.zeros((model.n, k))

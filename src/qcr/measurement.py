@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPsdError, UnbiasednessError, ValidationError
-from .model import StatisticalModel, cotangent_operator
-from .operators import _readonly, eigh, sqrt_psd
+from .errors import NotPsdError, NumericError, UnbiasednessError, ValidationError
+from .model import StatisticalModel
+from .operators import _readonly, sqrt_psd
 
 WEIGHT_SUM_TOL = 1e-12
 WEIGHT_PD_TOL = 1e-10
@@ -318,12 +318,12 @@ class SimulationResult:
     mean: np.ndarray
     cov: np.ndarray
     n_samples: int
-    quad_mean: float | None = None
-    quad_se: float | None = None
+    quad_mean: float
+    quad_se: float
 
 
 def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: int,
-             weight=None) -> SimulationResult:
+             weight) -> SimulationResult:
     """Monte Carlo run of a locally unbiased random measurement.
 
     The reported moments depend on the samples only through how often each
@@ -332,8 +332,8 @@ def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: 
     probabilities. The joint counts are Multinomial(samples, w_j p_jo), as
     for sample-by-sample draws, and cost and memory do not depend on
     ``samples`` (at most 2**63 - 1). Results are deterministic given
-    (seed, samples). When ``weight`` is given, the first two moments of the
-    per-sample quadratic form are reported as well.
+    (seed, samples). The first two moments of the per-sample quadratic form
+    x^T G x under the weight matrix G are reported as well.
     """
     samples = require_int(samples, "samples", 1)
     if samples > np.iinfo(np.int64).max:
@@ -341,30 +341,28 @@ def simulate(model: StatisticalModel, p: RandomMeasurement, samples: int, seed: 
     seed = require_int(seed, "seed")
     if not is_locally_unbiased(model, p):
         raise UnbiasednessError("simulate requires a locally unbiased measurement")
-    gm = None if weight is None else require_weight_matrix(weight, model.n)
+    gm = require_weight_matrix(weight, model.n)
 
     rng = np.random.default_rng(seed)
     component_counts = rng.multinomial(samples, p.weights / p.weights.sum())
-    rho = model.rho.matrix
-    est, counts = [], []
-    for direction, observable, cnt in zip(p.directions, p.observables, component_counts):
-        dec = eigh(cotangent_operator(model, observable), name="observable")
-        probs = np.einsum("ij,jk,ki->i", dec.eigenvectors.conj().T, rho, dec.eigenvectors).real
-        probs = np.clip(probs, 0.0, None)
-        counts.append(rng.multinomial(cnt, probs / probs.sum()))
-        est.append(dec.eigenvalues[:, None] * direction)
-    est = np.concatenate(est)  # the estimate of every (component, outcome) pair
-    freq = np.concatenate(counts) / samples
+    try:
+        values, vecs = np.linalg.eigh(np.tensordot(p.observables, model.slds, 1))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError("eigendecomposition did not converge for observable") from exc
+    probs = np.einsum("kjo,jl,klo->ko", vecs.conj(), model.rho.matrix, vecs).real
+    probs = np.clip(probs, 0.0, None)
+    counts = rng.multinomial(component_counts, probs / probs.sum(axis=1, keepdims=True))
+    # the estimate of every (component, outcome) pair, components in order
+    est = (values[:, :, None] * p.directions[:, None, :]).reshape(-1, model.n)
+    freq = counts.ravel() / samples
 
     mean = freq @ est
     cov = (est.T * freq) @ est - np.outer(mean, mean)
-    quad_mean = quad_se = None
-    if gm is not None:
-        u = np.einsum("si,ij,sj->s", est, gm, est)
-        # offsets from one outcome's value keep the cancellation small, and
-        # the variance is exactly 0 when every outcome has the same form
-        du = u - u[0]
-        quad_mean = float(u[0] + freq @ du)
-        quad_var = max(float(freq @ (du * du) - (freq @ du) ** 2), 0.0)
-        quad_se = math.sqrt(quad_var / samples)
-    return SimulationResult(mean, (cov + cov.T) / 2.0, samples, quad_mean, quad_se)
+    u = np.einsum("si,ij,sj->s", est, gm, est)
+    # offsets from one outcome's value keep the cancellation small, and
+    # the variance is exactly 0 when every outcome has the same form
+    du = u - u[0]
+    quad_mean = float(u[0] + freq @ du)
+    quad_var = max(float(freq @ (du * du) - (freq @ du) ** 2), 0.0)
+    return SimulationResult(mean, (cov + cov.T) / 2.0, samples, quad_mean,
+                            math.sqrt(quad_var / samples))

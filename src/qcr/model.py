@@ -43,11 +43,11 @@ PAULI_3 = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 @dataclass(frozen=True)
 class StatisticalModel:
-    """Local data of a model: state, tangent operators, cached SLDs and Fisher matrix."""
+    """State, read-only complex (n, d, d) stacks of tangents T_i and SLDs L_i, and Fisher matrix."""
 
     rho: DensityOperator
-    tangent: tuple[np.ndarray, ...]
-    slds: tuple[np.ndarray, ...]
+    tangent: np.ndarray
+    slds: np.ndarray
     fisher: np.ndarray
 
     @property
@@ -56,7 +56,7 @@ class StatisticalModel:
 
     @property
     def n(self) -> int:
-        return len(self.tangent)
+        return self.tangent.shape[0]
 
     @cached_property
     def _fisher_eig(self) -> tuple[np.ndarray, np.ndarray]:
@@ -93,25 +93,23 @@ def build_model(rho, tangent_ops) -> StatisticalModel:
         tr = float(np.trace(h).real)
         if abs(tr) > TANGENT_TRACE_TOL:
             raise ValidationError(f"tangent[{i}]: trace {tr!r} exceeds {TANGENT_TRACE_TOL:.1e} in magnitude")
-        tangents.append(_readonly(h))
+        tangents.append(h)
+    tangents = np.stack(tangents)
 
     # independence of the directions: smallest singular value of the stacked
     # real vectorizations must stay away from zero
-    stack = np.stack([np.concatenate([t.real.ravel(), t.imag.ravel()]) for t in tangents])
-    smin = np.linalg.svd(stack, compute_uv=False)[-1]
+    flat = tangents.reshape(len(tangents), -1)
+    smin = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1), compute_uv=False)[-1]
     if smin <= TANGENT_INDEPENDENCE_TOL:
         raise ValidationError(f"tangent operators nearly dependent (sigma_min = {smin:.3e})")
 
-    slds = tuple(_readonly(solve_sym_product(rho, t)) for t in tangents)
-    n = len(tangents)
-    fisher = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            fisher[i, j] = float(np.trace(tangents[j] @ slds[i]).real)
+    slds = np.stack([solve_sym_product(rho, t) for t in tangents])
+    # fisher[i, j] = tr(T_j L_i)
+    fisher = np.trace(tangents[None] @ slds[:, None], axis1=-2, axis2=-1).real
     fisher = (fisher + fisher.T) / 2.0
     if np.linalg.eigvalsh(fisher)[0] <= FISHER_PD_TOL:
         raise ValidationError("Fisher matrix is not positive definite")
-    return StatisticalModel(rho, tuple(tangents), slds, _readonly(fisher))
+    return StatisticalModel(rho, _readonly(tangents), _readonly(slds), _readonly(fisher))
 
 
 def _as_coords(x, n: int, name: str) -> np.ndarray:
@@ -138,20 +136,12 @@ def tangent_norm(model: StatisticalModel, xi) -> float:
 
 def cotangent_operator(model: StatisticalModel, c) -> np.ndarray:
     """Observable sum_i c[i] * sld[i]."""
-    v = _as_coords(c, model.n, "c")
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for ci, l in zip(v, model.slds):
-        out += ci * l
-    return out
+    return np.tensordot(_as_coords(c, model.n, "c"), model.slds, 1)
 
 
 def tangent_operator(model: StatisticalModel, xi) -> np.ndarray:
     """Trace-free direction sum_i xi[i] * tangent[i]."""
-    v = _as_coords(xi, model.n, "xi")
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for xii, t in zip(v, model.tangent):
-        out += xii * t
-    return out
+    return np.tensordot(_as_coords(xi, model.n, "xi"), model.tangent, 1)
 
 
 def builtin_model(name: str, *, alpha: float | None = None, probs=None) -> StatisticalModel:

@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import StatisticalModel, cotangent_operator, tangent_norm
-from .operators import _readonly
 
 RANDOMNESS_TOL = 1e-8
 QUBIT_IDENTITY_TOL = 1e-10  # largest residual norm qubit_constant_check accepts
@@ -29,34 +28,14 @@ def orthonormal_cotangent_basis(model: StatisticalModel) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(model.fisher))
 
 
-@dataclass(frozen=True)
-class BilinearTable:
-    """Symmetrized blocks (X_i rho X_j + X_j rho X_i)/2 over an orthonormal basis."""
+def bilinear_table(model: StatisticalModel) -> np.ndarray:
+    """Symmetrized blocks (X_i rho X_j + X_j rho X_i)/2 over the orthonormal cotangent basis.
 
-    basis: np.ndarray
-    blocks: np.ndarray  # (n, n, d, d), symmetric in the first two indices
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
-
-
-def bilinear_table(model: StatisticalModel, basis: np.ndarray | None = None) -> BilinearTable:
-    if basis is None:
-        basis = orthonormal_cotangent_basis(model)
-    basis = np.asarray(basis, dtype=float)
-    n, d = model.n, model.dim
-    if basis.shape != (n, n):
-        raise ValidationError(f"basis: expected {n}x{n} coordinates, got {basis.shape}")
-    ops = [cotangent_operator(model, basis[i]) for i in range(n)]
-    rho = model.rho.matrix
-    blocks = np.empty((n, n, d, d), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            b = (ops[i] @ rho @ ops[j] + ops[j] @ rho @ ops[i]) / 2.0
-            blocks[i, j] = b
-            blocks[j, i] = b
-    return BilinearTable(_readonly(basis), _readonly(blocks))
+    The ``(n, n, d, d)`` array is symmetric in its first two indices.
+    """
+    ops = np.tensordot(orthonormal_cotangent_basis(model), model.slds, 1)
+    prod = ops[:, None] @ model.rho.matrix @ ops[None]
+    return (prod + prod.swapaxes(0, 1)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -70,33 +49,29 @@ class RandomnessReport:
         return self.verdict
 
 
-def is_random_model(model: StatisticalModel, basis: np.ndarray | None = None) -> RandomnessReport:
+def is_random_model(model: StatisticalModel) -> RandomnessReport:
     """Decide the randomness condition and report the constant block or a witness.
 
     ``score`` is the largest residual over the off-diagonal blocks and the
     diagonal-block differences; the verdict is ``score <= RANDOMNESS_TOL``.
+    The witness is the first largest off-diagonal block in row-major order
+    when it exceeds the tolerance, and the first largest diagonal difference
+    otherwise.
     """
-    table = bilinear_table(model, basis)
-    n = table.n
-    score = 0.0
-    off_best = (0.0, None)
-    diag_best = (0.0, None)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                res = float(np.linalg.norm(table.blocks[i, i] - table.blocks[0, 0]))
-                if res > diag_best[0]:
-                    diag_best = (res, (i, j))
-            else:
-                res = float(np.linalg.norm(table.blocks[i, j]))
-                if res > off_best[0]:
-                    off_best = (res, (i, j))
-            score = max(score, res)
+    blocks = bilinear_table(model)
+    diag = np.arange(len(blocks))
+    res = np.linalg.norm(blocks, axis=(2, 3))
+    res[diag, diag] = np.linalg.norm(blocks[diag, diag] - blocks[0, 0], axis=(1, 2))
+    score = float(res.max())
     if score <= RANDOMNESS_TOL:
-        return RandomnessReport(True, table.blocks[0, 0].copy(), None, score)
+        return RandomnessReport(True, blocks[0, 0].copy(), None, score)
+    off = np.where(np.eye(len(blocks), dtype=bool), 0.0, res)
     # an off-diagonal block that fails to vanish is the more direct evidence
-    witness = off_best[1] if off_best[0] > RANDOMNESS_TOL else diag_best[1]
-    return RandomnessReport(False, None, witness, score)
+    if off.max() > RANDOMNESS_TOL:
+        i, j = np.unravel_index(np.argmax(off), off.shape)
+    else:
+        i = j = np.argmax(res[diag, diag])
+    return RandomnessReport(False, None, (int(i), int(j)), score)
 
 
 def qubit_constant_check(model: StatisticalModel, e) -> bool:

@@ -32,6 +32,8 @@ from qcr.measurement import (
 from qcr.model import PAULI_1, PAULI_2, PAULI_3, build_model, builtin_model, cotangent_operator
 from qcr.operators import DensityOperator
 
+from helpers import random_model
+
 CFG = SolverConfig(feas_tol=1e-5, obj_tol=1e-5, seed=1)
 
 
@@ -68,6 +70,23 @@ def test_residual_at_zero_tangent_is_minus_s():
     s = np.array([[0.3, 0.1j], [-0.1j, -0.2]])
     dual = DualPoint(np.zeros((3, 3)), s)
     assert np.allclose(residual(m, np.eye(3), dual, np.zeros(3)), -s, atol=1e-14)
+
+
+def test_residual_equals_the_explicit_sum():
+    # (xi G xi) rho - S - sum_i (a xi)_i T_i, Hermitian part, on a random complex d = 4 model
+    rng = np.random.default_rng(12)
+    d, n = 4, 3
+    m = random_model(d, n, rng)
+    b = rng.normal(size=(n, n))
+    g = b @ b.T + np.eye(n)
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    dual = DualPoint(rng.normal(size=(n, n)), (h + h.conj().T) / 2)
+    for _ in range(5):
+        xi = rng.normal(size=n)
+        mat = float(xi @ g @ xi) * m.rho.matrix - dual.s
+        for c, t in zip(dual.a @ xi, m.tangent):
+            mat = mat - c * t
+        assert np.allclose(residual(m, g, dual, xi), (mat + mat.conj().T) / 2, rtol=0, atol=1e-12)
 
 
 def test_residual_certificate_factorization():
@@ -311,18 +330,6 @@ def test_qubit_kernels_match_the_generic_ones(case):
         lam = engine.lam_min(b, s, ys)
         ref = np.linalg.eigvalsh(engine.residuals(b, s, ys))[:, 0]
         assert np.all(np.abs(lam - ref) <= 1e-13 * (1.0 + np.abs(ref)))
-
-
-def random_model(d, n, rng):
-    """Random complex model: rho = A A^dag + 0.3 I normalized, traceless random Hermitian tangents."""
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    p = a @ a.conj().T + 0.3 * np.eye(d)
-    tangents = []
-    for _ in range(n):
-        b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (b + b.conj().T) / 2
-        tangents.append(h - np.trace(h).real / d * np.eye(d))
-    return build_model(DensityOperator(p / np.trace(p).real), tangents)
 
 
 def commuting_model(d, n, seed):
@@ -1092,10 +1099,10 @@ def test_dual_points_sized_for_another_model_are_rejected(call, point):
     pytest.param(lambda m: SolverConfig(seed=1.5), id="seed-float"),
     pytest.param(lambda m: SolverConfig(seed=True), id="seed-bool"),
     pytest.param(lambda m: SolverConfig(feas_tol="1e-3"), id="feas_tol-str"),
-    pytest.param(lambda m: simulate(m, optimal_random_measurement(m, np.eye(3)), 2.5, 0),
+    pytest.param(lambda m: simulate(m, optimal_random_measurement(m, np.eye(3)), 2.5, 0, np.eye(3)),
                  id="simulate-samples-float"),
     pytest.param(lambda m: sample_frontier(m, 2.5, 0), id="sample_frontier-count-float"),
-    pytest.param(lambda m: simulate(m, optimal_random_measurement(m, np.eye(3)), 2**63, 0),
+    pytest.param(lambda m: simulate(m, optimal_random_measurement(m, np.eye(3)), 2**63, 0, np.eye(3)),
                  id="simulate-samples-2e63"),
     pytest.param(lambda m: dual_submodel_inequality(m, [0.7], np.eye(1)), id="subspace-index-float"),
     pytest.param(lambda m: dual_submodel_inequality(m, [True], np.eye(1)), id="subspace-index-bool"),

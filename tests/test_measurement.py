@@ -25,6 +25,8 @@ from qcr.measurement import (
 from qcr.model import build_model, builtin_model, cotangent_operator, PAULI_1
 from qcr.operators import DensityOperator
 
+from helpers import random_model
+
 
 def qubit(alpha=0.6):
     return builtin_model("qubit-full", alpha=alpha)
@@ -451,12 +453,47 @@ def test_sampled_measurements_cr_ordering():
 def test_simulate_deterministic():
     m = qubit()
     p = optimal_random_measurement(m, np.eye(3))
-    a = simulate(m, p, 5000, seed=123)
-    b = simulate(m, p, 5000, seed=123)
+    a = simulate(m, p, 5000, seed=123, weight=np.eye(3))
+    b = simulate(m, p, 5000, seed=123, weight=np.eye(3))
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.cov, b.cov)
-    c = simulate(m, p, 5000, seed=124)
+    c = simulate(m, p, 5000, seed=124, weight=np.eye(3))
     assert not np.array_equal(a.mean, c.mean)
+
+
+def per_component_simulate(model, p, samples, seed, g):
+    # one eigendecomposition and one multinomial draw per component, in order
+    rng = np.random.default_rng(seed)
+    component_counts = rng.multinomial(samples, p.weights / p.weights.sum())
+    est, counts = [], []
+    for direction, observable, cnt in zip(p.directions, p.observables, component_counts):
+        w, v = np.linalg.eigh(cotangent_operator(model, observable))
+        probs = np.clip(np.einsum("ji,jk,ki->i", v.conj(), model.rho.matrix, v).real, 0.0, None)
+        counts.append(rng.multinomial(cnt, probs / probs.sum()))
+        est.append(w[:, None] * direction)
+    est = np.concatenate(est)
+    freq = np.concatenate(counts) / samples
+    mean = freq @ est
+    second = (est.T * freq) @ est
+    return mean, second - np.outer(mean, mean), freq @ np.einsum("si,ij,sj->s", est, g, est)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: qubit(), id="qubit-full"),
+    pytest.param(lambda: builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25)), id="qutrit-diagonal"),
+    pytest.param(lambda: random_model(4, 3, np.random.default_rng(9)), id="complex-d4-n3"),
+])
+def test_batched_simulate_matches_the_per_component_draws(make):
+    m = make()
+    g = np.eye(m.n) + 0.5 * np.ones((m.n, m.n))
+    for p in (optimal_random_measurement(m, g), sample_locally_unbiased(m, np.random.default_rng(2), 7)):
+        for seed in (0, 11):
+            sim = simulate(m, p, 100_003, seed, g)
+            mean, cov, second = per_component_simulate(m, p, 100_003, seed, g)
+            scale = np.max(np.abs(cov))
+            assert np.allclose(sim.mean, mean, rtol=0, atol=1e-12 * np.sqrt(scale))
+            assert np.allclose(sim.cov, cov, rtol=0, atol=1e-12 * scale)
+            assert sim.quad_mean == pytest.approx(second, rel=1e-12)
 
 
 def test_simulate_moments_converge():
@@ -474,7 +511,7 @@ def test_simulate_requires_unbiased():
     m = qubit()
     e1 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(UnbiasednessError):
-        simulate(m, single(e1, e1), 10, seed=0)
+        simulate(m, single(e1, e1), 10, seed=0, weight=np.eye(3))
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, None, "3"])
@@ -482,7 +519,7 @@ def test_sampling_rejects_bad_seed(seed):
     m = qubit()
     p = optimal_random_measurement(m, np.eye(3))
     with pytest.raises(ValidationError, match="seed"):
-        simulate(m, p, 10, seed=seed)
+        simulate(m, p, 10, seed=seed, weight=np.eye(3))
     with pytest.raises(ValidationError, match="seed"):
         sample_frontier(m, 3, seed=seed)
 

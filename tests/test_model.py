@@ -14,6 +14,8 @@ from qcr.model import (
 )
 from qcr.operators import DensityOperator
 
+from helpers import random_model
+
 
 def qubit(alpha):
     return builtin_model("qubit-full", alpha=alpha)
@@ -94,6 +96,26 @@ def test_sld_defining_equation_random_models():
             for j in range(m.n):
                 alt = np.trace(m.rho.matrix @ m.slds[i] @ m.slds[j]).real
                 assert m.fisher[i, j] == pytest.approx(alt, abs=1e-10)
+
+
+def test_tangents_and_slds_are_read_only_stacks():
+    rng = np.random.default_rng(31)
+    models = [qubit(0.6), builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25)),
+              random_model(3, 2, rng), random_model(4, 5, rng)]
+    for m in models:
+        for stack in (m.tangent, m.slds):
+            assert isinstance(stack, np.ndarray) and stack.dtype == complex
+            assert stack.shape == (m.n, m.dim, m.dim)
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 1.0
+        # the operator maps are the explicit sums over the stacks
+        for _ in range(3):
+            c = rng.normal(size=m.n)
+            explicit_x = sum(ci * l for ci, l in zip(c, m.slds))
+            explicit_t = sum(ci * t for ci, t in zip(c, m.tangent))
+            assert np.allclose(cotangent_operator(m, c), explicit_x, rtol=0, atol=1e-12)
+            assert np.allclose(tangent_operator(m, c), explicit_t, rtol=0, atol=1e-12)
 
 
 def test_sld_inner_examples():

@@ -11,6 +11,8 @@ from qcr.randomness import (
     qubit_constant_check,
 )
 
+from helpers import random_model
+
 
 def qubit(alpha=0.6):
     return builtin_model("qubit-full", alpha=alpha)
@@ -20,12 +22,10 @@ def qutrit():
     return builtin_model("qutrit-diagonal", probs=(0.5, 0.25, 0.25))
 
 
-def brute_qutrit_block(model, c1, c2):
-    # direct 3x3 diagonal computation
-    from qcr.model import cotangent_operator
-
-    x1 = cotangent_operator(model, c1)
-    x2 = cotangent_operator(model, c2)
+def brute_block(model, c1, c2):
+    # direct d x d computation from explicit sums of SLDs
+    x1 = sum(c * l for c, l in zip(c1, model.slds))
+    x2 = sum(c * l for c, l in zip(c2, model.slds))
     rho = model.rho.matrix
     return (x1 @ rho @ x2 + x2 @ rho @ x1) / 2
 
@@ -60,9 +60,9 @@ def test_bilinear_table_qubit_structure():
     for i in range(3):
         for j in range(3):
             if i == j:
-                assert np.linalg.norm(table.blocks[i, i] - target) <= 1e-10
+                assert np.linalg.norm(table[i, i] - target) <= 1e-10
             else:
-                assert np.linalg.norm(table.blocks[i, j]) <= 1e-10
+                assert np.linalg.norm(table[i, j]) <= 1e-10
 
 
 def test_bilinear_table_single_parameter():
@@ -70,15 +70,31 @@ def test_bilinear_table_single_parameter():
     m = build_model(rho, [PAULI_1 / 2])
     table = bilinear_table(m)
     basis = orthonormal_cotangent_basis(m)
-    assert np.allclose(table.blocks[0, 0], brute_qutrit_block(m, basis[0], basis[0]), atol=1e-12)
+    assert np.allclose(table[0, 0], brute_block(m, basis[0], basis[0]), atol=1e-12)
 
 
 def test_bilinear_table_qutrit_offdiagonal_nonzero():
     q = qutrit()
     table = bilinear_table(q)
-    assert np.linalg.norm(table.blocks[0, 1]) > 1e-3
-    basis = table.basis
-    assert np.allclose(table.blocks[0, 1], brute_qutrit_block(q, basis[0], basis[1]), atol=1e-12)
+    assert np.linalg.norm(table[0, 1]) > 1e-3
+    basis = orthonormal_cotangent_basis(q)
+    assert np.allclose(table[0, 1], brute_block(q, basis[0], basis[1]), atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(qutrit, id="qutrit-diagonal"),
+    pytest.param(lambda: random_model(3, 2, np.random.default_rng(3)), id="complex-d3-n2"),
+    pytest.param(lambda: random_model(3, 4, np.random.default_rng(4)), id="complex-d3-n4"),
+    pytest.param(lambda: random_model(4, 3, np.random.default_rng(5)), id="complex-d4-n3"),
+])
+def test_bilinear_table_matches_brute_force_blocks(make):
+    m = make()
+    table = bilinear_table(m)
+    basis = orthonormal_cotangent_basis(m)
+    assert table.shape == (m.n, m.n, m.dim, m.dim)
+    for i in range(m.n):
+        for j in range(m.n):
+            assert np.allclose(table[i, j], brute_block(m, basis[i], basis[j]), rtol=0, atol=1e-12)
 
 
 def test_is_random_model_qubit():
@@ -110,21 +126,22 @@ def test_unit_diagonal_blocks():
     for m in (qubit(0.3), qubit(-0.7), qutrit()):
         table = bilinear_table(m)
         for i in range(m.n):
-            assert np.trace(table.blocks[i, i]).real == pytest.approx(1.0, abs=1e-10)
+            assert np.trace(table[i, i]).real == pytest.approx(1.0, abs=1e-10)
 
 
-def test_basis_independence_of_verdict():
+def test_reparametrization_keeps_the_verdict():
+    # tangents T' = A T for an invertible real A describe the same model in
+    # other coordinates: the verdict and the constant block must not change
     rng = np.random.default_rng(6)
     for m, expected in ((qubit(0.5), True), (qutrit(), False)):
-        base = orthonormal_cotangent_basis(m)
         rep = is_random_model(m)
         for _ in range(5):
-            q, _ = np.linalg.qr(rng.normal(size=(m.n, m.n)))
-            rotated = q @ base
-            rep_rot = is_random_model(m, basis=rotated)
-            assert rep_rot.verdict == expected == rep.verdict
+            a = rng.normal(size=(m.n, m.n)) + 2.0 * np.eye(m.n)
+            assert abs(np.linalg.det(a)) > 1e-3
+            rep_re = is_random_model(build_model(m.rho, np.tensordot(a, m.tangent, 1)))
+            assert rep_re.verdict == expected == rep.verdict
             if expected:
-                assert np.linalg.norm(rep_rot.constant - rep.constant) <= 1e-7
+                assert np.linalg.norm(rep_re.constant - rep.constant) <= 1e-7
 
 
 def test_qubit_constant_check_basis_vectors():
